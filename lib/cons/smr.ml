@@ -1,13 +1,41 @@
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
-module Key = struct
-  type t = int * int (* origin, seq *)
+(* Per-origin dedup by watermark.  Every origin numbers its commands 0,
+   1, 2, ..., so the seqs seen from one origin are almost always a
+   prefix: [floor] stands for all of [0 .. floor-1], and [above] holds
+   the few seqs seen past a gap (a re-queued lost batch, or a pipelined
+   decision landing early).  Adding the seq at [floor] advances it
+   through [above], so in-order adds keep [above] empty and the state is
+   O(origins), not O(commands).  Immutable — the model checker forks
+   replica states. *)
+module Dedup = struct
+  type mark = { floor : int; above : Int_set.t }
+  type t = mark Int_map.t
 
-  let compare = compare
+  let empty = Int_map.empty
+  let fresh = { floor = 0; above = Int_set.empty }
+
+  let mem t ~origin ~seq =
+    match Int_map.find_opt origin t with
+    | None -> false
+    | Some m -> seq < m.floor || Int_set.mem seq m.above
+
+  let add t ~origin ~seq =
+    let m = Option.value (Int_map.find_opt origin t) ~default:fresh in
+    if seq < m.floor || Int_set.mem seq m.above then t
+    else if seq = m.floor then
+      let rec advance floor above =
+        if Int_set.mem floor above then
+          advance (floor + 1) (Int_set.remove floor above)
+        else { floor; above }
+      in
+      Int_map.add origin (advance (seq + 1) m.above) t
+    else Int_map.add origin { m with above = Int_set.add seq m.above } t
+
+  let sparse t =
+    Int_map.fold (fun _ m acc -> acc + Int_set.cardinal m.above) t 0
 end
-
-module Key_set = Set.Make (Key)
 
 (* The pending queue sees one push per submitted command and one pop per
    batched command, at every replica — it must be O(1) amortised, not
@@ -50,19 +78,21 @@ type 'c state = {
   batch_max : int;  (* max commands per proposed batch *)
   pending : 'c cmd Fq.t;  (* known, not yet proposed by us; oldest first *)
   announce : 'c cmd list;  (* accepted since our last step; newest first *)
-  known : Key_set.t;  (* every command ever seen (dup suppression) *)
+  known : Dedup.t;  (* every command ever seen (dup suppression) *)
   inflight : 'c cmd list Int_map.t;  (* instance -> our undecided proposal *)
   decided : 'c cmd list Int_map.t;  (* instance -> decided batch *)
   active : Int_set.t;  (* undecided instances — the idle-step working set *)
   applied_inst : int;  (* instances [0 .. applied_inst-1] applied *)
   applied : int;  (* commands output so far = log length *)
-  applied_keys : Key_set.t;  (* exactly-once guard across instances *)
-  instances : 'c cmd list Quorum_paxos.state Int_map.t;
+  applied_ids : Dedup.t;  (* exactly-once guard across instances *)
+  instances : 'c cmd list Quorum_paxos.state Int_map.t;  (* undecided only *)
+  created : int;  (* instance states ever created *)
   next_seq : int;
   tick : int;  (* idle steps taken — the ballot-retry backoff clock *)
 }
 
-let key c = (c.origin, c.seq)
+let seen d c = Dedup.mem d ~origin:c.origin ~seq:c.seq
+let see d c = Dedup.add d ~origin:c.origin ~seq:c.seq
 
 let applied st = st.applied
 let applied_instances st = st.applied_inst
@@ -72,7 +102,8 @@ let backlog st =
   + Int_map.fold (fun _ b acc -> List.length b + acc) st.inflight 0
 
 let submitted st = st.next_seq
-let instances_touched st = Int_map.cardinal st.instances
+let instances_touched st = st.created
+let live_instances st = Int_map.cardinal st.instances
 
 let slot_of_msg = function Submit _ -> None | Inner (k, _) -> Some k
 
@@ -103,14 +134,15 @@ let init ~window ~batch_max ~n:_ self =
     batch_max;
     pending = Fq.empty;
     announce = [];
-    known = Key_set.empty;
+    known = Dedup.empty;
     inflight = Int_map.empty;
     decided = Int_map.empty;
     active = Int_set.empty;
     applied_inst = 0;
     applied = 0;
-    applied_keys = Key_set.empty;
+    applied_ids = Dedup.empty;
     instances = Int_map.empty;
+    created = 0;
     next_seq = 0;
     tick = 0;
   }
@@ -130,7 +162,7 @@ let retag k acts =
    can be decided by two different instances when leadership changes
    mid-batch (the Paxos value-inheritance rule can resurrect a batch its
    proposer already re-proposed elsewhere), so each command applies
-   exactly once: the second decision is skipped here, by key. *)
+   exactly once: the second decision is skipped here, by (origin, seq). *)
 let apply_ready st =
   let rec loop st acc =
     match Int_map.find_opt st.applied_inst st.decided with
@@ -139,13 +171,13 @@ let apply_ready st =
       let st, acc =
         List.fold_left
           (fun (st, acc) c ->
-            if Key_set.mem (key c) st.applied_keys then (st, acc)
+            if seen st.applied_ids c then (st, acc)
             else
               let idx = st.applied in
               ( {
                   st with
                   applied = idx + 1;
-                  applied_keys = Key_set.add (key c) st.applied_keys;
+                  applied_ids = see st.applied_ids c;
                 },
                 (idx, c) :: acc ))
           (st, acc) batch
@@ -154,71 +186,78 @@ let apply_ready st =
   in
   loop st []
 
-(* Record instance [k]'s decision.  Commands of ours that lost (we
-   proposed them at [k] but a competing leader's batch won) go back to
-   the *front* of pending — they are older than anything still queued. *)
+(* Record instance [k]'s decision and drop its Paxos state (the value is
+   fixed; see [run_instance] for how late ballots learn it).  Commands of
+   ours that lost (we proposed them at [k] but a competing leader's batch
+   won) go back to the *front* of pending — they are older than anything
+   still queued. *)
 let record_decision st k batch =
   if Int_map.mem k st.decided then st
   else begin
-    let keys =
-      List.fold_left (fun s c -> Key_set.add (key c) s) Key_set.empty batch
-    in
-    let in_batch c = Key_set.mem (key c) keys in
+    let ids = List.fold_left see Dedup.empty batch in
+    let not_in_batch c = not (seen ids c) in
     let lost =
       match Int_map.find_opt k st.inflight with
       | None -> []
-      | Some mine -> List.filter (fun c -> not (in_batch c)) mine
+      | Some mine -> List.filter not_in_batch mine
     in
     {
       st with
       decided = Int_map.add k batch st.decided;
       inflight = Int_map.remove k st.inflight;
       active = Int_set.remove k st.active;
-      known = Key_set.union st.known keys;
-      pending =
-        Fq.push_front_list lost
-          (Fq.filter (fun c -> not (in_batch c)) st.pending);
+      instances = Int_map.remove k st.instances;
+      known = List.fold_left see st.known batch;
+      pending = Fq.push_front_list lost (Fq.filter not_in_batch st.pending);
     }
   end
 
+(* A decided instance keeps no Paxos state.  Its value is fixed, so a
+   straggler that missed [Decide] and starts a ballot ([Prepare]) or
+   re-sends a proposal ([Propose]) is simply told the decision — what the
+   retained acceptor state would have led it to, in one round trip.
+   Every other message for a decided instance is stale and ignored. *)
 let run_instance ctx st k event =
-  let ist, st =
-    match Int_map.find_opt k st.instances with
-    | Some s -> (s, st)
-    | None ->
-      let s = inner.Sim.Protocol.init ~n:ctx.Sim.Protocol.n st.self in
-      let st =
-        if Int_map.mem k st.decided then st
-        else { st with active = Int_set.add k st.active }
-      in
-      (s, st)
-  in
-  let ist, acts =
+  match Int_map.find_opt k st.decided with
+  | Some batch -> (
     match event with
-    | `Step recv -> inner.Sim.Protocol.on_step ctx ist recv
-    | `Input b -> inner.Sim.Protocol.on_input ctx ist b
-  in
-  let st = { st with instances = Int_map.add k ist st.instances } in
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output b -> Some b
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
-  in
-  let st, outs =
+    | `Step (Some (from, (Quorum_paxos.Prepare _ | Quorum_paxos.Propose _))) ->
+      (st, [ Sim.Protocol.Send (from, Inner (k, Quorum_paxos.Decide batch)) ])
+    | `Step _ | `Input _ -> (st, []))
+  | None -> (
+    let ist, st =
+      match Int_map.find_opt k st.instances with
+      | Some s -> (s, st)
+      | None ->
+        ( inner.Sim.Protocol.init ~n:ctx.Sim.Protocol.n st.self,
+          { st with active = Int_set.add k st.active; created = st.created + 1 }
+        )
+    in
+    let ist, acts =
+      match event with
+      | `Step recv -> inner.Sim.Protocol.on_step ctx ist recv
+      | `Input b -> inner.Sim.Protocol.on_input ctx ist b
+    in
+    let decision =
+      List.find_map
+        (fun a ->
+          match a with
+          | Sim.Protocol.Output b -> Some b
+          | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
+        acts
+    in
     match decision with
-    | Some b when not (Int_map.mem k st.decided) ->
+    | None ->
+      ({ st with instances = Int_map.add k ist st.instances }, retag k acts)
+    | Some b ->
       let st, entries = apply_ready (record_decision st k b) in
-      (st, List.map (fun (i, c) -> Sim.Protocol.Output (i, c)) entries)
-    | Some _ | None -> (st, [])
-  in
-  (st, retag k acts @ outs)
+      ( st,
+        retag k acts
+        @ List.map (fun (i, c) -> Sim.Protocol.Output (i, c)) entries ))
 
 (* Install decided batches received in a snapshot.  Idempotent: instances
    already decided are left untouched (consensus already fixed them — a
-   well-formed snapshot necessarily agrees), and the apply-time key guard
+   well-formed snapshot necessarily agrees), and the apply-time guard
    means a command can never be applied twice even across overlapping
    snapshots.  Returns the log entries that became applicable, in order. *)
 let install st entries =
@@ -260,7 +299,7 @@ let rec drive ctx st =
         match Fq.pop pending with
         | None -> (List.rev acc, pending)
         | Some (c, rest) ->
-          if Key_set.mem (key c) st.applied_keys then split i acc rest
+          if seen st.applied_ids c then split i acc rest
           else split (i + 1) (c :: acc) rest
     in
     let batch, rest = split 0 [] st.pending in
@@ -281,12 +320,12 @@ let on_step ctx st recv =
     | Some (_, Submit cs) ->
       ( List.fold_left
           (fun st c ->
-            if Key_set.mem (key c) st.known then st
+            if seen st.known c then st
             else
               {
                 st with
                 pending = Fq.push st.pending c;
-                known = Key_set.add (key c) st.known;
+                known = see st.known c;
               })
           st cs,
         [] )
@@ -338,7 +377,7 @@ let on_input _ctx st payload =
       next_seq = st.next_seq + 1;
       pending = Fq.push st.pending c;
       announce = c :: st.announce;
-      known = Key_set.add (key c) st.known;
+      known = see st.known c;
     }
   in
   (st, [])

@@ -20,8 +20,19 @@
     still strictly in instance order, and a command decided by two
     different instances (possible under leadership churn, because Paxos
     value inheritance can resurrect a batch its proposer already
-    re-proposed) is applied exactly once — an apply-time key guard skips
-    the second decision.
+    re-proposed) is applied exactly once — an apply-time guard skips the
+    second decision.
+
+    Per-command bookkeeping is bounded by the number of origins, not the
+    number of commands: both the "seen" set that suppresses re-gossiped
+    submissions and the apply-time exactly-once guard are a {!Dedup}
+    watermark per origin.  An instance keeps its Paxos state only while
+    undecided; once it decides the state is dropped, and a late [Prepare]
+    or [Propose] for it (a straggler that missed [Decide] and starts a
+    ballot) is answered with [Decide] carrying the decided batch, so the
+    straggler learns the fixed value in one round trip.  Other late
+    messages for a decided instance are ignored.  The decided batches
+    themselves are still kept (they serve {!decided_from}).
 
     The consensus box is the (Ω, Σ) quorum Paxos, so SMR runs in any
     environment. *)
@@ -31,6 +42,25 @@
 type 'c cmd = { origin : Sim.Pid.t; seq : int; payload : 'c }
 
 type 'c state
+
+(** The per-origin dedup structure behind both the submission filter and
+    the exactly-once apply guard: a set of [(origin, seq)] pairs stored as
+    one contiguous watermark per origin — every seq below it is in the
+    set — plus a sparse set of the seqs seen past a gap.  Adding the seq
+    at the watermark advances it through the sparse set, so an origin
+    whose seqs arrive in order ([0, 1, 2, ...]) costs O(1) space.
+    Immutable.  Seqs are non-negative. *)
+module Dedup : sig
+  type t
+
+  val empty : t
+  val mem : t -> origin:Sim.Pid.t -> seq:int -> bool
+  val add : t -> origin:Sim.Pid.t -> seq:int -> t
+
+  (** Number of seqs held past a gap, summed over origins — zero after
+      any sequence of in-order adds. *)
+  val sparse : t -> int
+end
 
 (** Public so hosts can give the message tower a binary wire
     representation (see [Net.Codecs]); treat it as read-only. *)
@@ -78,10 +108,16 @@ val backlog : 'c state -> int
     submission with its decided log entry. *)
 val submitted : 'c state -> int
 
-(** Number of consensus instances this process has participated in (as
-    proposer or acceptor) — exposed so tests can assert that idle ticks
-    and empty queues burn no instances. *)
+(** Number of Paxos instance states this process has created (as proposer
+    or acceptor) — exposed so tests can assert that idle ticks and empty
+    queues burn no instances.  An instance already decided when its first
+    message arrives creates none. *)
 val instances_touched : 'c state -> int
+
+(** Number of Paxos instance states currently held: the undecided
+    instances only — at most the window plus stragglers, never the
+    instance history. *)
+val live_instances : 'c state -> int
 
 (** {2 Snapshot plumbing}
 
@@ -105,7 +141,7 @@ val decided_from :
 
 (** [install st entries] records decided batches from a snapshot.
     Idempotent — already-decided instances are untouched and the
-    apply-time key guard holds across overlapping or replayed snapshots,
+    apply-time guard holds across overlapping or replayed snapshots,
     so a command can never be applied twice.  Returns the log entries
     that became applicable (in log order) for the host to emit as
     outputs. *)

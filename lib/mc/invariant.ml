@@ -277,3 +277,116 @@ let ec_convergence () =
                      Sim.Pid.pp p0 ref_fp Sim.Pid.pp p
                      (Hashtbl.find last p)))));
   }
+
+(* ------------------------------------------------------------------ *)
+(* State machine replication: every process's log holds indices
+   0, 1, 2, ... once each, applies every (origin, seq) at most once and
+   only commands that were submitted; two processes that filled the
+   same index filled it with the same command (so logs agree on their
+   common prefix).  Once the run has drained, the correct processes'
+   logs are equal and hold every command a correct process submitted.
+   Events may come in either order: each log is rebuilt by index.      *)
+
+let smr ?(pp = generic_pp) ~submitted () =
+  let pp_cmd fmt (c : _ Cons.Smr.cmd) =
+    Format.fprintf fmt "%a#%d (%a)" Sim.Pid.pp c.origin c.seq pp c.payload
+  in
+  let is origin seq (c : _ Cons.Smr.cmd) =
+    Sim.Pid.equal c.origin origin && c.seq = seq
+  in
+  let log_of events p =
+    List.filter_map
+      (fun (e : _ Sim.Trace.event) ->
+        if Sim.Pid.equal e.pid p then Some e.value else None)
+      events
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+  in
+  let check_log p log =
+    let rec go i applied = function
+      | [] -> Ok ()
+      | (idx, (c : _ Cons.Smr.cmd)) :: rest ->
+        if idx <> i then
+          Error
+            (Format.asprintf
+               "gapless log violated: %a has index %d, expected %d" Sim.Pid.pp p
+               idx i)
+        else if List.exists (is c.origin c.seq) applied then
+          Error
+            (Format.asprintf "exactly-once violated: %a applied %a twice"
+               Sim.Pid.pp p pp_cmd c)
+        else if
+          not
+            (List.exists
+               (fun (o, s, v) -> is o s c && v = c.payload)
+               submitted)
+        then
+          Error
+            (Format.asprintf "validity violated: %a applied unsubmitted %a"
+               Sim.Pid.pp p pp_cmd c)
+        else go (i + 1) (c :: applied) rest
+    in
+    go 0 [] log
+  in
+  let prefix fp events =
+    let rec each = function
+      | [] -> Ok ()
+      | p :: rest ->
+        let* () = check_log p (log_of events p) in
+        each rest
+    in
+    let* () = each (Sim.Pid.all (Sim.Failure_pattern.n fp)) in
+    let clash (e1 : _ Sim.Trace.event) (e2 : _ Sim.Trace.event) =
+      let (i1, (c1 : _ Cons.Smr.cmd)), (i2, c2) = (e1.value, e2.value) in
+      i1 = i2 && not (is c1.origin c1.seq c2)
+    in
+    match
+      List.find_map
+        (fun e1 ->
+          Option.map (fun e2 -> (e1, e2)) (List.find_opt (clash e1) events))
+        events
+    with
+    | Some (e1, e2) ->
+      Error
+        (Format.asprintf "agreement violated: index %d is %a at %a, %a at %a"
+           (fst e1.value) pp_cmd (snd e1.value) Sim.Pid.pp e1.pid pp_cmd
+           (snd e2.value) Sim.Pid.pp e2.pid)
+    | None -> Ok ()
+  in
+  let drained fp events =
+    let correct = Sim.Failure_pattern.correct fp in
+    let owed =
+      List.filter (fun (o, _, _) -> Sim.Pidset.mem o correct) submitted
+    in
+    let logs =
+      List.map (fun p -> (p, log_of events p)) (Sim.Pidset.elements correct)
+    in
+    match
+      List.find_map
+        (fun (p, log) ->
+          List.find_map
+            (fun (o, s, _) ->
+              if List.exists (fun (_, c) -> is o s c) log then None
+              else Some (p, o, s))
+            owed)
+        logs
+    with
+    | Some (p, o, s) ->
+      Error
+        (Format.asprintf "termination violated: correct %a never applied %a#%d"
+           Sim.Pid.pp p Sim.Pid.pp o s)
+    | None -> (
+      match List.map (fun (_, log) -> List.length log) logs with
+      | l :: rest when List.exists (( <> ) l) rest ->
+        Error
+          "agreement violated: correct logs differ in length after the run \
+           drained"
+      | _ -> Ok ())
+  in
+  {
+    name = "smr";
+    on_output = prefix;
+    final =
+      (fun fp ~must_terminate events ->
+        let* () = prefix fp events in
+        if must_terminate then drained fp events else Ok ());
+  }

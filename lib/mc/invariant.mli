@@ -56,3 +56,18 @@ val linearizable : unit -> 'v Regs.Abd.output t
     every correct replica must agree.  Divergence before quiescence is
     legal, so there is no online clause. *)
 val ec_convergence : unit -> Ec.Replica.output t
+
+(** State machine replication ({!Cons.Smr}), over the [(index, command)]
+    log entries processes emit: each process's indices run 0, 1, 2, ...
+    once each, no [(origin, seq)] is applied twice by one process, every
+    applied command is in [submitted] as [(origin, seq, payload)], and
+    two processes that filled the same index filled it with the same
+    command — per-process prefix agreement.  With [must_terminate], the
+    correct processes' logs must also be of equal length and hold every
+    command a correct process submitted.  Events may arrive newest- or
+    oldest-first. *)
+val smr :
+  ?pp:(Format.formatter -> 'c -> unit) ->
+  submitted:(Sim.Pid.t * int * 'c) list ->
+  unit ->
+  (int * 'c Cons.Smr.cmd) t

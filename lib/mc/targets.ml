@@ -65,6 +65,57 @@ let broken_validity ~n =
       };
   }
 
+(* ---- state machine replication from repeated consensus ------------- *)
+
+(* One command from each of processes 0 and 1, as
+   [(origin, seq, payload)], both input at time 0.  Three commands would
+   cost minutes of DPOR at n = 3 instead of a second. *)
+let smr_submitted = [ (0, 0, 1); (1, 0, 2) ]
+
+let pp_smr_out fmt ((i, c) : int * int Cons.Smr.cmd) =
+  Format.fprintf fmt "log[%d] = %a#%d (%d)" i Sim.Pid.pp c.Cons.Smr.origin
+    c.Cons.Smr.seq c.Cons.Smr.payload
+
+(* Ω: every correct process trusts the smallest correct id, while a
+   process that will crash trusts itself.  That is a legal Ω history (the
+   eventual-leader clause binds correct processes only) and it is
+   time-invariant, yet it makes a crashing process a competing leader
+   until its crash: its batches race the correct leader's for the same
+   instances, value inheritance can hand an instance to the other batch,
+   and the loser's commands must be re-queued and decided again — the
+   path a leader crash exercises.  Σ is exact. *)
+let smr_fd fp ~seed:_ =
+  let correct = Sim.Failure_pattern.correct fp in
+  let leader = Sim.Pidset.min_elt correct in
+  fun p _t -> ((if Sim.Pidset.mem p correct then leader else p), correct)
+
+let smr ~n:_ =
+  let invariant =
+    Invariant.smr ~pp:Format.pp_print_int ~submitted:smr_submitted ()
+  in
+  {
+    Harness.name = "cons.smr";
+    protocol = Cons.Smr.make ~window:2 ~batch_max:1 ();
+    make_fd = smr_fd;
+    make_inputs =
+      (fun _ -> List.map (fun (o, _, v) -> (0, o, v)) smr_submitted);
+    invariant;
+    (* Ballots start on idle steps only, so a round in which the leader
+       received a message and sent nothing is not quiescence.  A run
+       ends instead once the invariant's termination clause holds (the
+       logs have drained), or at the step bound, which
+       [require_termination] turns into a liveness deadline. *)
+    stop =
+      (fun fp outs ->
+        invariant.Invariant.final fp ~must_terminate:true outs = Ok ());
+    policy = Sim.Network.Fifo;
+    max_steps = 400;
+    detect_quiescence = false;
+    require_termination = true;
+    time_invariant_fd = true;
+    pp_out = pp_smr_out;
+  }
+
 (* ---- atomic registers from Σ -------------------------------------- *)
 
 let pp_abd_out fmt (o : int Regs.Abd.output) =
@@ -291,6 +342,7 @@ let all ~n =
   [
     ("cons.quorum_paxos", Packed (quorum_paxos ~n));
     ("cons.broken_validity", Packed (broken_validity ~n));
+    ("cons.smr", Packed (smr ~n));
     ("regs.abd", Packed (abd ~n));
     ("qcnbac.two_phase_commit", Packed (two_phase_commit ~n));
     ("qcnbac.qc_psi", Packed (qc_psi ~n));

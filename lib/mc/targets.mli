@@ -28,6 +28,25 @@ val broken_validity :
     int )
   Harness.target
 
+(** State machine replication ({!Cons.Smr} at window 2, one command per
+    batch) from (Ω, Σ): processes 0 and 1 submit one command each.
+    A process that will crash trusts itself as Ω until it crashes, so a
+    crash-adversary run pits a crashing leader's batches against the
+    correct leader's, and a lost batch must be re-queued (at [n = 2] this
+    takes a crash at time 18 or later: [--horizon 24]).  Checked
+    against {!Invariant.smr}: prefix agreement, exactly-once by
+    [(origin, seq)], validity, and — by the step bound, which ends the
+    run as a liveness deadline — equal correct logs holding every
+    command of a correct process.  A run stops as soon as that holds. *)
+val smr :
+  n:int ->
+  ( int Cons.Smr.state,
+    int Cons.Smr.msg,
+    Sim.Pid.t * Sim.Pidset.t,
+    int,
+    int * int Cons.Smr.cmd )
+  Harness.target
+
 (** ABD atomic registers from Σ: one register, every process writes its own
     value then reads.  Checked for linearizability and operation
     completion. *)

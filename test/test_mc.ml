@@ -709,6 +709,56 @@ let test_net_ec_no_sync_caught () =
     Alcotest.(check bool) "replay reproduces the divergence" true
       (rep.Mc.Net_harness.violation <> None)
 
+(* ---- state machine replication -------------------------------------- *)
+
+let test_smr_crash_adversary_n2 () =
+  (* the horizon reaches the crashes that land after the faulty process's
+     Propose was accepted: the survivor's own batch then loses its
+     instance to the inherited one and must be re-queued *)
+  let t = Mc.Targets.smr ~n:2 in
+  let r =
+    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:24 ~stride:2
+      ~inner:`Exhaustive ~budget:100_000 ~inner_budget:50_000 t ~n:2
+  in
+  Alcotest.(check bool) "all patterns exhausted" true
+    r.Mc.Crash_adversary.complete;
+  Alcotest.(check bool)
+    "prefix agreement, exactly-once, validity, termination" true
+    (r.Mc.Crash_adversary.counterexample = None);
+  Alcotest.(check bool) "nontrivial exploration" true
+    (r.Mc.Crash_adversary.schedules > 1_000)
+
+let test_smr_dpor_n3 () =
+  let t = Mc.Targets.smr ~n:3 in
+  let r =
+    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
+      ~inner:`Dpor ~budget:100_000 ~inner_budget:50_000 t ~n:3
+  in
+  Alcotest.(check bool) "all patterns exhausted" true
+    r.Mc.Crash_adversary.complete;
+  Alcotest.(check bool) "clean" true
+    (r.Mc.Crash_adversary.counterexample = None)
+
+let test_smr_invariant_catches_duplicate () =
+  (* a hand-built log that applies p0#0 twice, at two indices *)
+  let inv =
+    Mc.Invariant.smr ~submitted:[ (0, 0, "a"); (1, 0, "b") ] ()
+  in
+  let fp = ff 2 in
+  let entry time i origin payload =
+    let cmd = { Cons.Smr.origin; seq = 0; payload } in
+    { Sim.Trace.time; pid = 0; value = (i, cmd) }
+  in
+  let good = [ entry 1 0 0 "a"; entry 2 1 1 "b" ] in
+  let dup = entry 3 2 0 "a" :: List.rev good in
+  Alcotest.(check bool) "the clean prefix passes" true
+    (inv.Mc.Invariant.on_output fp (List.rev good) = Ok ());
+  match inv.Mc.Invariant.on_output fp dup with
+  | Ok () -> Alcotest.fail "duplicate entry not caught"
+  | Error e ->
+    Alcotest.(check bool) "reason names exactly-once" true
+      (contains e "exactly-once violated")
+
 let () =
   Alcotest.run "mc"
     [
@@ -810,5 +860,14 @@ let () =
           Alcotest.test_case "n=3 crash adversary exhausted, agrees" `Quick
             test_fd_ring_exhausted;
           Alcotest.test_case "dpor parity" `Quick test_fd_ring_dpor_parity;
+        ] );
+      ( "smr",
+        [
+          Alcotest.test_case "n=2 crash adversary exhausted, clean" `Quick
+            test_smr_crash_adversary_n2;
+          Alcotest.test_case "n=3 crash adversary, dpor, clean" `Quick
+            test_smr_dpor_n3;
+          Alcotest.test_case "duplicate log entry trips the invariant" `Quick
+            test_smr_invariant_catches_duplicate;
         ] );
     ]

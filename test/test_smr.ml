@@ -250,6 +250,211 @@ let prop_smr_total_order =
             logs)
         logs)
 
+(* --- bounded bookkeeping: watermark dedup, no Paxos state once decided -- *)
+
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* Random add/mem traffic over four origins: seqs arrive permuted and
+   repeated, and are drawn from a range wider than the number of adds, so
+   some gaps never fill.  After every step the watermark structure must
+   answer exactly like a plain set of (origin, seq) pairs, on the queried
+   pair and on every pair in range. *)
+let prop_dedup_model =
+  QCheck.Test.make ~name:"Dedup agrees with a set of (origin, seq) pairs"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 80) (triple bool (0 -- 3) (0 -- 30)))
+    (fun ops ->
+      let module D = Cons.Smr.Dedup in
+      let agree d r =
+        List.for_all
+          (fun o ->
+            List.for_all
+              (fun s -> D.mem d ~origin:o ~seq:s = Pairs.mem (o, s) r)
+              (List.init 32 Fun.id))
+          [ 0; 1; 2; 3 ]
+      in
+      let rec go d r = function
+        | [] -> true
+        | (add, o, s) :: rest ->
+          let d, r =
+            if add then (D.add d ~origin:o ~seq:s, Pairs.add (o, s) r)
+            else (d, r)
+          in
+          D.mem d ~origin:o ~seq:s = Pairs.mem (o, s) r
+          && agree d r && go d r rest
+      in
+      go D.empty Pairs.empty ops)
+
+(* Adds that arrive in seq order per origin (origins interleaved at
+   random) never leave anything past the watermark: the state stays one
+   integer per origin however many commands go through. *)
+let prop_dedup_in_order_dense =
+  QCheck.Test.make ~name:"in-order adds keep Dedup's sparse part empty"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (0 -- 3))
+    (fun origins ->
+      let module D = Cons.Smr.Dedup in
+      let next = Array.make 4 0 in
+      let d =
+        List.fold_left
+          (fun d o ->
+            let d = D.add d ~origin:o ~seq:next.(o) in
+            next.(o) <- next.(o) + 1;
+            if D.sparse d <> 0 then QCheck.Test.fail_report "sparse part grew";
+            d)
+          D.empty origins
+      in
+      List.for_all
+        (fun o ->
+          D.mem d ~origin:o ~seq:(max 0 (next.(o) - 1)) = (next.(o) > 0)
+          && not (D.mem d ~origin:o ~seq:next.(o)))
+        [ 0; 1; 2; 3 ])
+
+(* A hand-driven three-process cluster: rounds deliver every queued
+   message, minus the ones [lost] drops, then give each process an idle
+   step.  Process 2 misses the [Decide] for instance 0; once it trusts
+   itself and starts a ballot, a process that decided answers its
+   [Prepare] with the decided batch and the straggler applies the same
+   log. *)
+let test_straggler_learns_decision () =
+  let n = 3 in
+  let proto = Cons.Smr.make ~window:4 () in
+  let states = Array.init n (fun p -> proto.Sim.Protocol.init ~n p) in
+  let logs = Array.make n [] in
+  let omega = Array.make n 0 in
+  let sigma = Sim.Pidset.of_list [ 0; 1 ] in
+  let ctx p = { Sim.Protocol.self = p; n; now = 0; fd = (omega.(p), sigma) } in
+  let queue = Queue.create () in
+  let replies = ref [] in
+  let perform p acts =
+    List.iter
+      (function
+        | Sim.Protocol.Send (q, m) ->
+          (match m with
+          | Cons.Smr.Inner (k, Cons.Quorum_paxos.Decide b) ->
+            replies := (p, q, k, b) :: !replies
+          | _ -> ());
+          Queue.push (p, q, m) queue
+        | Sim.Protocol.Broadcast m ->
+          List.iter (fun q -> Queue.push (p, q, m) queue) (Sim.Pid.all n)
+        | Sim.Protocol.Output e -> logs.(p) <- logs.(p) @ [ e ])
+      acts
+  in
+  let step p recv =
+    let st, acts = proto.Sim.Protocol.on_step (ctx p) states.(p) recv in
+    states.(p) <- st;
+    perform p acts
+  in
+  let round lost =
+    let msgs = List.of_seq (Queue.to_seq queue) in
+    Queue.clear queue;
+    List.iter
+      (fun (src, dst, m) -> if not (lost dst m) then step dst (Some (src, m)))
+      msgs;
+    List.iter (fun p -> step p None) (Sim.Pid.all n)
+  in
+  let rec run_until lost cond fuel =
+    if cond () then true
+    else if fuel = 0 then false
+    else (
+      round lost;
+      run_until lost cond (fuel - 1))
+  in
+  let applied p = Cons.Smr.applied states.(p) in
+  List.iter
+    (fun v ->
+      let st, acts = proto.Sim.Protocol.on_input (ctx 0) states.(0) v in
+      states.(0) <- st;
+      perform 0 acts)
+    [ "a"; "b" ];
+  let decide_to_2 dst = function
+    | Cons.Smr.Inner (_, Cons.Quorum_paxos.Decide _) -> dst = 2
+    | _ -> false
+  in
+  Alcotest.(check bool) "0 and 1 decide" true
+    (run_until decide_to_2 (fun () -> applied 0 = 2 && applied 1 = 2) 50);
+  Alcotest.(check bool) "in-flight Decides to 2 lost too" true
+    (run_until decide_to_2 (fun () -> Queue.is_empty queue) 10);
+  Alcotest.(check int) "2 missed the decision" 0 (applied 2);
+  Alcotest.(check int) "2 still holds the instance" 1
+    (Cons.Smr.live_instances states.(2));
+  Alcotest.(check int) "0 keeps no state for it" 0
+    (Cons.Smr.live_instances states.(0));
+  Alcotest.(check bool) "no Decide reply yet" true (!replies = []);
+  omega.(2) <- 2;
+  Alcotest.(check bool) "2 catches up" true
+    (run_until (fun _ _ -> false) (fun () -> applied 2 = 2) 50);
+  (match List.find_opt (fun (p, _, _, _) -> p = 0) !replies with
+  | None -> Alcotest.fail "the decided process never answered the ballot"
+  | Some (_, q, k, b) ->
+    Alcotest.(check int) "reply goes to the straggler" 2 q;
+    Alcotest.(check int) "for instance 0" 0 k;
+    Alcotest.(check (list string)) "carrying the decided batch" [ "a"; "b" ]
+      (List.map (fun (c : _ Cons.Smr.cmd) -> c.Cons.Smr.payload) b));
+  let view p =
+    List.map
+      (fun (i, (c : _ Cons.Smr.cmd)) ->
+        (i, c.Cons.Smr.origin, c.Cons.Smr.seq, c.Cons.Smr.payload))
+      logs.(p)
+  in
+  Alcotest.(check bool) "straggler applies the same log" true
+    (view 2 = view 0 && view 1 = view 0);
+  Alcotest.(check int) "no Paxos state left anywhere" 0
+    (List.fold_left
+       (fun acc p -> acc + Cons.Smr.live_instances states.(p))
+       0 (Sim.Pid.all n))
+
+(* Thousands of commands through small batches at window 16: instance
+   states are created for hundreds of instances, yet no process ever
+   holds more than the window's worth at once. *)
+let test_live_instances_bounded () =
+  let n = 3 and window = 16 and k = 3000 in
+  let proto = Cons.Smr.make ~window ~batch_max:4 () in
+  let peak = ref 0 in
+  let proto =
+    {
+      proto with
+      Sim.Protocol.on_step =
+        (fun ctx st m ->
+          let st, acts = proto.Sim.Protocol.on_step ctx st m in
+          peak := max !peak (Cons.Smr.live_instances st);
+          (st, acts));
+    }
+  in
+  let fp = Sim.Failure_pattern.failure_free n in
+  let oracle =
+    Fd.Oracle.product Fd.Omega.oracle_instant Fd.Sigma.oracle_exact
+  in
+  let fd = Fd.Oracle.history oracle fp ~seed:1 in
+  let outputs = ref 0 in
+  let cfg =
+    Sim.Engine.config ~seed:1 ~max_steps:500_000
+      ~inputs:(List.init k (fun i -> (i / 8, i mod n, i)))
+      ~stop:(fun _ ->
+        incr outputs;
+        !outputs >= n * k)
+      ~detect_quiescence:false ~fd fp
+  in
+  let trace = Sim.Engine.run cfg proto in
+  Alcotest.(check bool) "every command applied everywhere" true
+    (trace.Sim.Trace.stopped = `Condition);
+  let touched =
+    Array.fold_left
+      (fun acc st -> max acc (Cons.Smr.instances_touched st))
+      0 trace.Sim.Trace.final_states
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "many instances went through (%d)" touched)
+    true (touched > 10 * window);
+  Alcotest.(check bool)
+    (Printf.sprintf "live instance states stay within the window (peak %d)"
+       !peak)
+    true (!peak <= window)
+
 let () =
   Alcotest.run "smr"
     [
@@ -272,4 +477,13 @@ let () =
             test_register_from_consensus;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_smr_total_order ]);
+      ( "bounded-state",
+        [
+          QCheck_alcotest.to_alcotest prop_dedup_model;
+          QCheck_alcotest.to_alcotest prop_dedup_in_order_dense;
+          Alcotest.test_case "straggler learns a decided instance" `Quick
+            test_straggler_learns_decision;
+          Alcotest.test_case "live instances bounded by the window" `Quick
+            test_live_instances_bounded;
+        ] );
     ]
