@@ -658,6 +658,6 @@ let mc_replay ?trace name ~n ~seed ~schedule =
       Ok
         {
           re_schedule = Mc.Schedule.to_string sched;
-          re_outputs = r.Mc.Harness.outputs;
+          re_outputs = Lazy.force r.Mc.Harness.outputs;
           re_violation = r.Mc.Harness.violation;
         })

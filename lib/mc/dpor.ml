@@ -352,7 +352,10 @@ let seg_requests ~fp ~n ~input_times ~reduce seg =
    picks, so the path [p @ zeros] is the path of prefix [p] — strip
    trailing zeros before using a prefix as a tree-node identity.  The
    [explored] table over canonical prefixes is both the worklist dedup
-   and the per-node sleep set. *)
+   and the per-node sleep set.  It hashes the whole prefix
+   ({!Schedule.Prefix_tbl}): sibling prefixes share all but their last
+   few choices, and a hash that reads only the first few cells would
+   put them all in one bucket. *)
 let canonical prefix =
   let rec strip = function 0 :: tl -> strip tl | l -> l in
   List.rev (strip (List.rev prefix))
@@ -373,8 +376,8 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
     List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
   in
   let seen = Hashtbl.create 4096 in
-  let explored : (int list, unit) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.add explored [] ();
+  let explored = Schedule.Prefix_tbl.create 4096 in
+  Schedule.Prefix_tbl.add explored [] ();
   let stack = ref [ [] ] in
   let schedules = ref 0 in
   let pruned = ref 0 in
@@ -475,6 +478,7 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
           push E_hook;
           if (not prune) || !consumed < depth then true
           else begin
+            let digest = Lazy.force digest in
             let key =
               if prune_mod_time then digest else Hashtbl.hash (digest, now)
             in
@@ -520,8 +524,8 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
             (fun (g, alt) ->
               if g < Array.length choices then begin
                 let p = canonical (take_prefix choices g @ [ alt ]) in
-                if not (Hashtbl.mem explored p) then begin
-                  Hashtbl.add explored p ();
+                if not (Schedule.Prefix_tbl.mem explored p) then begin
+                  Schedule.Prefix_tbl.add explored p ();
                   stack := p :: !stack
                 end
               end)

@@ -49,6 +49,7 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
         let hook ~now ~digest ~steps:_ =
           if (not prune) || !consumed < depth then true
           else begin
+            let digest = Lazy.force digest in
             let key =
               if prune_mod_time then digest else Hashtbl.hash (digest, now)
             in

@@ -19,7 +19,7 @@ type run_report = {
   choices : int list;
   stopped : [ `Condition | `Quiescent | `Step_limit | `Hook ];
   steps : int;
-  outputs : string;
+  outputs : string Lazy.t;
 }
 
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
@@ -132,12 +132,13 @@ let run ?(seed = 1) ?round_hook ?sink target ~fp scheduler =
       | Ok () -> None
       | Error e -> Some e)
   in
+  let pp_out = target.pp_out in
   {
     violation;
     choices = recorded ();
     stopped = trace.Sim.Trace.stopped;
     steps = trace.Sim.Trace.steps;
-    outputs = pp_events target.pp_out trace.Sim.Trace.outputs;
+    outputs = lazy (pp_events pp_out trace.Sim.Trace.outputs);
   }
 
 let replay ?(seed = 1) ?sink target ~n schedule =
@@ -148,7 +149,7 @@ let replay ?(seed = 1) ?sink target ~n schedule =
       choices = [];
       stopped = `Condition;
       steps = 0;
-      outputs = "(malformed schedule: illegal failure pattern)";
+      outputs = lazy "(malformed schedule: illegal failure pattern)";
     }
   | Some fp ->
     run ~seed ?sink target ~fp

@@ -37,7 +37,11 @@ type run_report = {
   choices : int list;  (** the recorded, replayable choice sequence *)
   stopped : [ `Condition | `Quiescent | `Step_limit | `Hook ];
   steps : int;
-  outputs : string;  (** rendered output events, for reporting *)
+  outputs : string Lazy.t;
+      (** rendered output events, for reporting.  Rendering goes through
+          [Format] and is only wanted when a run is shown (a replayed
+          counterexample), so it happens when forced, not per explored
+          run. *)
 }
 
 (** The inner schedule explorer every search front-end chooses between.
@@ -92,6 +96,8 @@ val validate_opts : opts -> (unit, string) result
 
 (** [run target ~fp scheduler] executes one run under [scheduler], checking
     the invariant online (a violation ends the run) and at the end.
+    [?round_hook] is passed to {!Sim.Engine.run}: its lazy [digest] is
+    built only if the hook forces it.
 
     [?sink] installs an observability sink on the underlying engine run and
     additionally brackets invariant evaluation in an [Invariant_check]
@@ -100,7 +106,7 @@ val validate_opts : opts -> (unit, string) result
     replaying it with a sink — see [Core.Runner.model_check]'s [~trace]. *)
 val run :
   ?seed:int ->
-  ?round_hook:(now:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(now:int -> digest:int Lazy.t -> steps:int -> bool) ->
   ?sink:Sim.Event.sink ->
   ('st, 'msg, 'fd, 'inp, 'out) target ->
   fp:Sim.Failure_pattern.t ->

@@ -84,7 +84,7 @@ type run_report = {
   choices : int list;
   stopped : [ `Quiescent | `Round_limit | `Hook ];
   steps : int;
-  outputs : string;
+  outputs : string Lazy.t;
 }
 
 (* Everything that determines the future of a run except the round
@@ -176,8 +176,8 @@ let run ?round_hook target sched =
       else begin
         (match round_hook with
         | Some hook ->
-          if not (hook ~round:!r ~digest:(digest_of nodes hub !events) ~steps:!steps)
-          then begin
+          let digest = lazy (digest_of nodes hub !events) in
+          if not (hook ~round:!r ~digest ~steps:!steps) then begin
             stopped := `Hook;
             running := false
           end
@@ -211,12 +211,13 @@ let run ?round_hook target sched =
      with
      | Ok () -> ()
      | Error msg -> violation := Some msg);
+  let pp_out = target.pp_out in
   {
     violation = !violation;
     choices = recorded ();
     stopped = !stopped;
     steps = !steps;
-    outputs = Harness.pp_events target.pp_out events;
+    outputs = lazy (Harness.pp_events pp_out events);
   }
 
 (* The schedule's crash list stays empty: kills are part of the target
@@ -265,7 +266,7 @@ let search ?(budget = 10_000) ?(prune = true) ?(shrink = true)
         let hook ~round ~digest ~steps:_ =
           if (not prune) || !consumed < depth then true
           else begin
-            let key = Hashtbl.hash (digest, round) in
+            let key = Hashtbl.hash (Lazy.force digest, round) in
             if Hashtbl.mem seen key then begin
               incr pruned;
               false

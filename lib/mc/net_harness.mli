@@ -77,15 +77,20 @@ type run_report = {
   choices : int list;  (** the recorded, replayable choice sequence *)
   stopped : [ `Quiescent | `Round_limit | `Hook ];
   steps : int;  (** node steps taken *)
-  outputs : string;  (** rendered output events, for reporting *)
+  outputs : string Lazy.t;
+      (** rendered output events, for reporting; rendered when forced,
+          not per explored run *)
 }
 
 (** One run under [sched].  [round_hook] is called after every round
     with a state digest (protocol states, link layers, hub, output
     history — node [now] excluded); returning [false] cuts the run
-    ([`Hook]) — the explorer's pruning hook. *)
+    ([`Hook]) — the explorer's pruning hook.  The digest is lazy and
+    reads the live run: a hook that keys on it forces it during the
+    call, and one that does not (the prefix replay of {!search}) never
+    pays for marshalling the nodes. *)
 val run :
-  ?round_hook:(round:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(round:int -> digest:int Lazy.t -> steps:int -> bool) ->
   ('st, 'msg, 'inp, 'out) target ->
   Sim.Scheduler.t ->
   run_report

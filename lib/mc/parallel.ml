@@ -222,6 +222,7 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
       end
       else if !consumed < depth then true
       else begin
+        let digest = Lazy.force digest in
         let key =
           if prune_mod_time then digest else Hashtbl.hash (digest, now)
         in
@@ -375,12 +376,15 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
   in
 
   (* -- coordinator side -- *)
-  let prefix_cache : (int * int list, spec) Hashtbl.t = Hashtbl.create 4096 in
+  (* One full-prefix table per pattern: keyed by [(pat, prefix)] in a
+     polymorphic table, prefixes sharing a long start would collide. *)
+  let prefix_cache = Array.map (fun _ -> Schedule.Prefix_tbl.create 256) fps in
   let sampled_cache : (int * int, spec) Hashtbl.t = Hashtbl.create 256 in
   let drain_results_locked () =
     while not (Queue.is_empty results) do
       match Queue.pop results with
-      | R_run (pat, p, spec) -> Hashtbl.replace prefix_cache (pat, p) spec
+      | R_run (pat, p, spec) ->
+        Schedule.Prefix_tbl.replace prefix_cache.(pat) p spec
       | R_sampled (pat, i, spec) -> Hashtbl.replace sampled_cache (pat, i) spec
       | R_job_done (pat, w) -> active := List.filter (( <> ) (pat, w)) !active
     done
@@ -410,15 +414,14 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
      produce it; fall back to [None] (inline execution) once no job
      covers it.  With domains = 1 nothing is ever in flight and every
      run executes inline — the fully sequential path. *)
-  let await ~cache ~key ~covered =
+  let await ~take ~covered =
     if n_domains = 1 then None
     else begin
       Mutex.lock mutex;
       let rec go () =
         drain_results_locked ();
-        match Hashtbl.find_opt cache key with
+        match take () with
         | Some spec ->
-          Hashtbl.remove cache key;
           Mutex.unlock mutex;
           Some spec
         | None ->
@@ -468,8 +471,11 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
         let spec =
           match
             await
-              ~cache:prefix_cache
-              ~key:(pat, p)
+              ~take:(fun () ->
+                let tbl = prefix_cache.(pat) in
+                let r = Schedule.Prefix_tbl.find_opt tbl p in
+                if r <> None then Schedule.Prefix_tbl.remove tbl p;
+                r)
               ~covered:(fun () -> covered_prefix pat p)
           with
           | Some spec when not spec.sp_aborted -> spec
@@ -512,7 +518,8 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
               Mutex.lock mutex;
               drain_results_locked ();
               let have =
-                Hashtbl.mem prefix_cache (pat, c) || covered_prefix pat c
+                Schedule.Prefix_tbl.mem prefix_cache.(pat) c
+                || covered_prefix pat c
               in
               Mutex.unlock mutex;
               if not have then
@@ -550,8 +557,10 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
       let spec =
         match
           await
-            ~cache:sampled_cache
-            ~key:(pat, !i)
+            ~take:(fun () ->
+              let r = Hashtbl.find_opt sampled_cache (pat, !i) in
+              if r <> None then Hashtbl.remove sampled_cache (pat, !i);
+              r)
             ~covered:(fun () -> covered_index pat !i)
         with
         | Some spec -> spec
@@ -693,6 +702,7 @@ let search_unordered ~(o : Harness.opts) ~fps target ~n =
       end
       else if !consumed < depth then true
       else begin
+        let digest = Lazy.force digest in
         let key =
           salt ~pat (if prune_mod_time then digest else Hashtbl.hash (digest, now))
         in

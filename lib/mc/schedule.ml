@@ -61,3 +61,16 @@ let of_string s =
   | _ -> fail ()
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+(* Polymorphic [Hashtbl.hash] stops after ~10 list cells, so prefixes
+   sharing a long start collide; fold every element, then mix the high
+   bits down (Hashtbl.Make buckets by the low bits). *)
+module Prefix_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+
+  let hash l =
+    let h = List.fold_left (fun h x -> (h lxor x) * 0x100000001b3) 0 l in
+    h lxor (h lsr 29)
+end)

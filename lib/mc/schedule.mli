@@ -31,3 +31,9 @@ val to_string : t -> string
 val of_string : string -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** Hash tables keyed by a choice prefix.  The hash folds every element
+    of the list (polymorphic [Hashtbl.hash] reads only its first few
+    cells, so prefixes sharing a long start would share a bucket);
+    equality is exact. *)
+module Prefix_tbl : Hashtbl.S with type key = int list

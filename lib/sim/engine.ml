@@ -8,7 +8,7 @@ type ('msg, 'fd, 'inp, 'out) config = {
   stop : 'out Trace.event list -> bool;
   detect_quiescence : bool;
   scheduler : Scheduler.t option;
-  round_hook : (now:int -> digest:int -> steps:int -> bool) option;
+  round_hook : (now:int -> digest:int Lazy.t -> steps:int -> bool) option;
   sink : Event.sink option;
   render_out : ('out -> string) option;
 }
@@ -56,12 +56,13 @@ let prepare_inputs ~n inputs : _ pending_inputs =
    the clock: protocol states, buffered messages, undelivered inputs and the
    outputs emitted so far (the stop condition and the model checker's
    invariants read them).  Marshalling gives a deep, collision-resistant
-   digest; states that cannot be marshalled fall back to a bounded
-   structural hash. *)
+   digest; states holding abstract or custom values (a [Mutex.t], say),
+   which [Marshal] rejects with [Invalid_argument], fall back to a
+   bounded structural hash. *)
 let state_digest states net inputs outputs =
   let st_h =
     try Hashtbl.hash (Digest.bytes (Marshal.to_bytes states [ Marshal.Closures ]))
-    with _ -> Hashtbl.hash_param 1024 1024 states
+    with Invalid_argument _ -> Hashtbl.hash_param 1024 1024 states
   in
   Hashtbl.hash
     ( st_h,
@@ -232,7 +233,9 @@ let run cfg (proto : _ Protocol.t) =
        end;
        (match cfg.round_hook with
        | Some hook ->
-         let digest = state_digest states net inputs !outputs in
+         (* Most hook calls (the explorers' prefix replay) never read the
+            digest: build it only when forced. *)
+         let digest = lazy (state_digest states net inputs !outputs) in
          if not (hook ~now:!now ~digest ~steps:!steps) then begin
            stopped := `Hook;
            raise Exit

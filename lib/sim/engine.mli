@@ -30,14 +30,18 @@ type ('msg, 'fd, 'inp, 'out) config = {
           seeded-RNG scheduler derived from [seed].  Supplying a recording
           or replaying scheduler is how the model checker enumerates and
           reproduces schedules. *)
-  round_hook : (now:int -> digest:int -> steps:int -> bool) option;
+  round_hook : (now:int -> digest:int Lazy.t -> steps:int -> bool) option;
       (** called after every completed round with the clock, a structural
           digest of the global state (process states, message buffer,
           pending inputs, outputs) and the number of process steps executed
           so far; return [false] to end the run with [stopped = `Hook].
-          The model checker uses it to prune revisited states, and the
-          parallel explorer uses [steps] to account a run cut at this hook
-          exactly as if it had physically stopped here. *)
+          The digest is lazy: marshalling and hashing the whole state is
+          the costly part of a round, so it is computed only if the hook
+          forces it, and must be forced during the call (it reads the live
+          state).  The model checker forces it only where it keys its
+          visited set, i.e. past the replayed prefix, to prune revisited
+          states; the parallel explorer uses [steps] to account a run cut
+          at this hook exactly as if it had physically stopped here. *)
   sink : Event.sink option;
       (** observability sink receiving typed events (send / deliver / crash
           / fd-query / input / output) and phase spans (schedule, delivery,
@@ -62,7 +66,7 @@ val config :
   ?stop:('out Trace.event list -> bool) ->
   ?detect_quiescence:bool ->
   ?scheduler:Scheduler.t ->
-  ?round_hook:(now:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(now:int -> digest:int Lazy.t -> steps:int -> bool) ->
   ?sink:Event.sink ->
   ?render_out:('out -> string) ->
   fd:(Pid.t -> int -> 'fd) ->

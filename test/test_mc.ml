@@ -759,6 +759,147 @@ let test_smr_invariant_catches_duplicate () =
     Alcotest.(check bool) "reason names exactly-once" true
       (contains e "exactly-once violated")
 
+(* ---- explorer bookkeeping: prefix tables, pinned counts, digests ----- *)
+
+let test_prefix_tbl_full_prefix_hash () =
+  (* 2000 distinct prefixes behind one 64-choice start: the shape of a
+     deep DPOR frontier.  A polymorphic table hashes only the first few
+     cells, so all of them share one bucket; the full-prefix table must
+     spread them. *)
+  let start = List.init 64 (fun i -> i mod 3) in
+  let rec base3 k digits =
+    if digits = 0 then [] else (k mod 3) :: base3 (k / 3) (digits - 1)
+  in
+  let prefixes = List.init 2000 (fun k -> start @ base3 k 7) in
+  let tbl = Mc.Schedule.Prefix_tbl.create 16 in
+  List.iter (fun p -> Mc.Schedule.Prefix_tbl.replace tbl p ()) prefixes;
+  Alcotest.(check int) "all distinct" 2000 (Mc.Schedule.Prefix_tbl.length tbl);
+  Alcotest.(check bool) "every prefix found" true
+    (List.for_all (Mc.Schedule.Prefix_tbl.mem tbl) prefixes);
+  Alcotest.(check bool) "a proper prefix is not a member" false
+    (Mc.Schedule.Prefix_tbl.mem tbl start);
+  let longest = (Mc.Schedule.Prefix_tbl.stats tbl).Hashtbl.max_bucket_length in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket %d <= 8" longest)
+    true (longest <= 8);
+  (* the input is adversarial for the polymorphic hash *)
+  let poly = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace poly p ()) prefixes;
+  Alcotest.(check int) "polymorphic table: one bucket" 2000
+    (Hashtbl.stats poly).Hashtbl.max_bucket_length
+
+(* The explored set is pinned: an explorer change that alters which
+   schedules are run (not just how fast) changes these counts.  Options
+   are the benchmark's mc_verify suite: at most one crash, budget
+   100_000, one domain. *)
+let test_pinned_sim_counts () =
+  List.iter
+    (fun (name, n, explorer, schedules, steps) ->
+      match Mc.Targets.find name ~n with
+      | None -> Alcotest.fail ("unknown target " ^ name)
+      | Some (Mc.Targets.Packed t) ->
+        let opts =
+          {
+            Mc.Harness.default_opts with
+            Mc.Harness.explorer;
+            domains = 1;
+            budget = 100_000;
+            max_crashes = 1;
+          }
+        in
+        let r = Mc.Parallel.search ~opts t ~n in
+        Alcotest.(check bool) (name ^ ": exhausted") true
+          r.Mc.Crash_adversary.complete;
+        Alcotest.(check bool) (name ^ ": clean") true
+          (r.Mc.Crash_adversary.counterexample = None);
+        Alcotest.(check int) (name ^ ": schedules") schedules
+          r.Mc.Crash_adversary.schedules;
+        Alcotest.(check int) (name ^ ": steps") steps r.Mc.Crash_adversary.steps)
+    [
+      ("qcnbac.qc_psi", 3, `Dpor, 1295, 48567);
+      ("cons.quorum_paxos", 3, `Exhaustive, 1375, 20362);
+      ("regs.abd", 2, `Exhaustive, 434, 12198);
+      ("fd.ring", 3, `Dpor, 170, 4118);
+    ]
+
+let test_pinned_net_counts () =
+  let r = Mc.Net_harness.search ~budget:20_000 (Mc.Net_targets.abd_rel ~n:2) in
+  Alcotest.(check bool) "exhausted" true r.Mc.Exhaustive.complete;
+  Alcotest.(check bool) "clean" true (r.Mc.Exhaustive.counterexample = None);
+  Alcotest.(check int) "schedules" 6593 r.Mc.Exhaustive.schedules;
+  Alcotest.(check int) "steps" 165802 r.Mc.Exhaustive.steps
+
+(* A state [Marshal] cannot serialize: every process counts its own
+   steps and outputs at the third.  [lock] is the only difference between
+   the two variants.  Round orders only permute steps that do not
+   interact, so under the marshalled digest most branches revisit a
+   state and are pruned. *)
+type counter_state = { lock : Mutex.t option; count : int }
+
+let counter_target ~with_lock =
+  let protocol =
+    {
+      Sim.Protocol.init =
+        (fun ~n:_ _ ->
+          {
+            lock = (if with_lock then Some (Mutex.create ()) else None);
+            count = 0;
+          });
+      on_step =
+        (fun _ st _ ->
+          let count = st.count + 1 in
+          ( { st with count },
+            if count = 3 then [ Sim.Protocol.Output count ] else [] ));
+      on_input = (fun _ st () -> (st, []));
+    }
+  in
+  {
+    Mc.Harness.name = "test.counter";
+    protocol;
+    make_fd = (fun _ ~seed:_ _ _ -> ());
+    make_inputs = (fun _ -> []);
+    invariant =
+      {
+        Mc.Invariant.name = "everyone outputs";
+        on_output = (fun _ _ -> Ok ());
+        final =
+          (fun fp ~must_terminate evs ->
+            if
+              must_terminate
+              && not (Sim.Engine.stop_when_all_correct_output fp evs)
+            then Error "a correct process never output"
+            else Ok ());
+      };
+    stop = Sim.Engine.stop_when_all_correct_output;
+    policy = Sim.Network.Fifo;
+    max_steps = 50;
+    detect_quiescence = false;
+    require_termination = true;
+    time_invariant_fd = true;
+    pp_out = Format.pp_print_int;
+  }
+
+let test_digest_fallback_unmarshallable_state () =
+  Alcotest.check_raises "Marshal rejects a mutex"
+    (Invalid_argument "output_value: abstract value (Custom)") (fun () ->
+      ignore (Marshal.to_bytes (Mutex.create ()) []));
+  let search ?prune with_lock =
+    Mc.Exhaustive.search ?prune ~budget:10_000 (counter_target ~with_lock)
+      ~fp:(ff 3)
+  in
+  let locked = search true in
+  Alcotest.(check bool) "exhausted" true locked.Mc.Exhaustive.complete;
+  Alcotest.(check bool) "clean" true (locked.Mc.Exhaustive.counterexample = None);
+  (* The fallback hashes a mutex by its own custom hash (its address), so
+     states of different runs never merge: no false merge can make the
+     search smaller than with the marshalled digest, and it is no larger
+     than the unpruned tree. *)
+  let plain = search false and unpruned = search ~prune:false false in
+  Alcotest.(check bool) "no smaller than the marshalled-digest search" true
+    (locked.Mc.Exhaustive.schedules >= plain.Mc.Exhaustive.schedules);
+  Alcotest.(check bool) "no larger than the unpruned tree" true
+    (locked.Mc.Exhaustive.schedules <= unpruned.Mc.Exhaustive.schedules)
+
 let () =
   Alcotest.run "mc"
     [
@@ -869,5 +1010,16 @@ let () =
             test_smr_dpor_n3;
           Alcotest.test_case "duplicate log entry trips the invariant" `Quick
             test_smr_invariant_catches_duplicate;
+        ] );
+      ( "explorer",
+        [
+          Alcotest.test_case "prefix table hashes the whole prefix" `Quick
+            test_prefix_tbl_full_prefix_hash;
+          Alcotest.test_case "mc_verify sim targets: pinned counts" `Quick
+            test_pinned_sim_counts;
+          Alcotest.test_case "abd over node+rel: pinned counts" `Quick
+            test_pinned_net_counts;
+          Alcotest.test_case "unmarshallable state: fallback digest" `Quick
+            test_digest_fallback_unmarshallable_state;
         ] );
     ]
