@@ -275,6 +275,206 @@ let test_chaos_replay_deterministic () =
   Alcotest.(check bool) "traces identical minus profile" true (t1 = t2);
   Alcotest.(check bool) "different seed, different trace" true (t1 <> t3)
 
+(* ------------------------------------------------------------------ *)
+(* Exact reports                                                       *)
+
+(* The full [pp_report] text of each harness on fixed configurations:
+   every count, heal line and failure message, in order.  Any change to
+   the shared chaos loop that shifts a single step, frame or message
+   shows up here.  The tight-bound cases force the heal-bound, watchdog
+   and convergence failures. *)
+
+let report_net ?(rounds = 2_500) ?(detector = Fd.Emulated.Omega.Heartbeat)
+    ?(watchdog = 800) ?(heal_bound = 1_200) ~seed text () =
+  let cfg =
+    {
+      (chaos_cfg ~rounds ~seed text 3) with
+      Net.Chaos.detector;
+      watchdog;
+      heal_bound;
+    }
+  in
+  Format.asprintf "%a" Net.Chaos.pp_report (Net.Chaos.run cfg)
+
+(* the CI sharded run: 4 shards, partition + heal, rotation at 1200 *)
+let report_shard ?(watchdog = 900) () =
+  let cfg =
+    {
+      (Shard.Chaos.default ~shards:4 ~replicas:3
+         ~schedule:(ok_schedule "at 300 partition 0 1 | 2 3\nat 700 heal\n"))
+      with
+      Shard.Chaos.seed = 1;
+      rounds = 2_400;
+      cmds = 12;
+      cmd_every = 60;
+      reconfig_at = Some 1_200;
+      watchdog;
+    }
+  in
+  Format.asprintf "%a" Shard.Chaos.pp_report (Shard.Chaos.run cfg)
+
+let report_ec ?heal_bound ?watchdog () =
+  let base = Ec.Chaos.default ~n:3 ~schedule:(Ec.Chaos.default_schedule 3) in
+  let cfg =
+    {
+      base with
+      Ec.Chaos.seed = 1;
+      heal_bound = Option.value heal_bound ~default:base.Ec.Chaos.heal_bound;
+      watchdog = Option.value watchdog ~default:base.Ec.Chaos.watchdog;
+    }
+  in
+  Format.asprintf "%a" Ec.Chaos.pp_report (Ec.Chaos.run cfg)
+
+let pinned_reports =
+  [
+    ( "net partition+heal",
+      report_net ~seed:3 "at 300 partition 0 1 | 2\nat 900 heal\n",
+      {|rounds      2500
+submitted   12
+applied     12 12 12
+logs        identical
+completion  all applied
+heal @900    leader re-agreed in 6 rounds
+nemesis     dropped 11473, duplicated 0, reordered 0, delayed 0
+rel         29426 retransmits
+invariants  all held
+|} );
+    ( "net kill",
+      report_net ~rounds:3_000 ~seed:13 "at 500 kill 2\n",
+      {|rounds      3000
+submitted   12
+applied     12 12 5
+logs        identical
+completion  all applied
+nemesis     dropped 0, duplicated 0, reordered 0, delayed 0
+rel         40572 retransmits
+invariants  all held
+|} );
+    ( "net skew",
+      report_net ~seed:11 "at 0 skew 2 3\n",
+      {|rounds      2500
+submitted   12
+applied     12 12 12
+logs        identical
+completion  all applied
+nemesis     dropped 0, duplicated 0, reordered 0, delayed 0
+rel         47586 retransmits
+invariants  all held
+|} );
+    ( "net drop",
+      report_net ~seed:5 "at 0 drop * 0.05\n",
+      {|rounds      2500
+submitted   12
+applied     12 12 12
+logs        identical
+completion  all applied
+nemesis     dropped 988, duplicated 0, reordered 0, delayed 0
+rel         5079 retransmits
+invariants  all held
+|} );
+    ( "net ring detector",
+      report_net ~detector:Fd.Emulated.Omega.Ring ~seed:1
+        "at 300 partition 0 1 | 2\nat 900 heal\n",
+      {|rounds      2500
+submitted   12
+applied     12 12 12
+logs        identical
+completion  all applied
+heal @900    leader re-agreed in 77 rounds
+nemesis     dropped 3549, duplicated 0, reordered 0, delayed 0
+rel         5023 retransmits
+invariants  all held
+|} );
+    ( "net tight bounds",
+      report_net ~watchdog:150 ~heal_bound:3 ~seed:2
+        "at 300 isolate 0\nat 600 heal\nat 2000 kill 1\n\
+         at 2497 partition 0 | 1 2\nat 2498 heal\n",
+      {|rounds      2500
+submitted   12
+applied     12 12 12
+logs        identical
+completion  all applied
+heal @600    leader NOT re-agreed in bound
+heal @2498    leader re-agreed in 0 rounds
+nemesis     dropped 4411, duplicated 0, reordered 0, delayed 0
+rel         20299 retransmits
+FAILED      heal at round 600: no single live leader within 3 rounds
+FAILED      round 750: no progress for 150 rounds on a healthy network
+|} );
+    ( "shard CI run",
+      (fun () -> report_shard ()),
+      {|rounds      2400
+submitted   12
+applied     1 1 13 1
+epochs      1 1 1 1
+reconfig    completed
+reads       8 ok, 0 bad
+logs        identical per shard
+completion  all applied
+duplicates  none
+nemesis     dropped 51012, duplicated 0, reordered 0, delayed 0
+rel         135087 retransmits
+invariants  all held
+|} );
+    ( "shard tight watchdog",
+      (fun () -> report_shard ~watchdog:60 ()),
+      {|rounds      2400
+submitted   12
+applied     1 1 13 1
+epochs      1 1 1 1
+reconfig    completed
+reads       8 ok, 0 bad
+logs        identical per shard
+completion  all applied
+duplicates  none
+nemesis     dropped 51012, duplicated 0, reordered 0, delayed 0
+rel         135087 retransmits
+FAILED      round 61: no progress for 60 rounds on a healthy network
+FAILED      round 214: no progress for 60 rounds on a healthy network
+FAILED      round 760: no progress for 60 rounds on a healthy network
+FAILED      round 821: no progress for 60 rounds on a healthy network
+FAILED      round 882: no progress for 60 rounds on a healthy network
+FAILED      round 953: no progress for 60 rounds on a healthy network
+|} );
+    ( "ec default",
+      (fun () -> report_ec ()),
+      {|rounds      4000
+ec puts     160 160 160  (in partition: 330)
+smr         submitted 12, applied 12 12 12, frozen during partition
+converged   in 454 rounds after last write
+heal @1600    EC leader re-agreed in 1 rounds
+logs        identical
+completion  all applied
+nemesis     dropped 52341, duplicated 0, reordered 0, delayed 0
+rel         100063 retransmits
+invariants  all held
+|} );
+    ( "ec tight bounds",
+      (fun () -> report_ec ~heal_bound:300 ~watchdog:200 ()),
+      {|rounds      4000
+ec puts     160 160 160  (in partition: 330)
+smr         submitted 12, applied 12 12 12, frozen during partition
+converged   NOT within bound
+heal @1600    EC leader re-agreed in 1 rounds
+logs        identical
+completion  all applied
+nemesis     dropped 52341, duplicated 0, reordered 0, delayed 0
+rel         100063 retransmits
+FAILED      round 1805: no SMR progress for 200 rounds on a healthy network
+FAILED      stores not converged within 300 rounds of the last write
+FAILED      round 2006: no SMR progress for 200 rounds on a healthy network
+FAILED      round 2207: no SMR progress for 200 rounds on a healthy network
+|} );
+  ]
+
+let pinned_report_cases =
+  List.map
+    (fun (name, report, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) (name ^ ": exact report") expected
+            (report ())))
+    pinned_reports
+
 let () =
   Alcotest.run "chaos"
     [
@@ -300,4 +500,5 @@ let () =
           Alcotest.test_case "same seed+schedule replays bit-for-bit" `Quick
             test_chaos_replay_deterministic;
         ] );
+      ("reports", pinned_report_cases);
     ]
