@@ -1027,14 +1027,14 @@ let detector_idle ~kind ~n ~rounds =
     Net.Local.make ~codec:Net.Codecs.omega_msg ~metrics:m
       ~classify:detector_classify ~n det.Sim.Layered.proto
   in
-  Net.Local.cluster_run c ~rounds:(2 * period);
+  Net.Local.run c ~rounds:(2 * period);
   let labels = [ ("detector", detector_kind_name kind) ] in
-  let s0 = Net.Loopback.sent (Net.Local.cluster_hub c) in
+  let s0 = Net.Loopback.sent (Net.Local.hub c) in
   let m0 = Obs.Metrics.counter_l m "fd.frames" ~labels in
   let t0 = Unix.gettimeofday () in
-  Net.Local.cluster_run c ~rounds;
+  Net.Local.run c ~rounds;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let frames = Net.Loopback.sent (Net.Local.cluster_hub c) - s0 in
+  let frames = Net.Loopback.sent (Net.Local.hub c) - s0 in
   let metered = Obs.Metrics.counter_l m "fd.frames" ~labels - m0 in
   ( float_of_int frames /. float_of_int rounds /. float_of_int n,
     frames,
@@ -1072,19 +1072,19 @@ let detector_failover_row ~kind ~n =
   let c =
     Net.Local.make ~codec:Net.Codecs.omega_msg ~n det.Sim.Layered.proto
   in
-  Net.Local.cluster_run c ~rounds:(8 * period);
+  Net.Local.run c ~rounds:(8 * period);
   let live = List.tl (Sim.Pid.all n) in
   let leader_everywhere l =
     List.for_all
       (fun p ->
-        Fd.Emulated.Omega.current (Net.Local.cluster_state c p) = l)
+        Fd.Emulated.Omega.current (Net.Local.state c p) = l)
       live
   in
   if not (leader_everywhere 0) then
     failwith
       (Printf.sprintf "detector failover bench (%s n=%d): leader 0 did not \
                        settle" tag n);
-  Net.Local.cluster_crash c 0;
+  Net.Local.crash c 0;
   let t0 = Unix.gettimeofday () in
   let rec go r =
     if leader_everywhere 1 then r
@@ -1093,7 +1093,7 @@ let detector_failover_row ~kind ~n =
         (Printf.sprintf "detector failover bench (%s n=%d): no re-agreement"
            tag n)
     else begin
-      Net.Local.cluster_step c;
+      Net.Local.step c;
       go (r + 1)
     end
   in

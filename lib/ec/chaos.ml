@@ -1,8 +1,8 @@
-(* The EC chaos harness: Net.Chaos's deterministic loopback driver
-   pointed at the mixed-consistency node, with the invariants the EC
-   paper's regime calls for — writes keep flowing in minority partitions
-   while the quorum path freezes, replicas converge after heal, and a
-   session pinned to one node reads its own writes. *)
+(* The EC chaos harness: the Net.Chaos kernel pointed at the
+   mixed-consistency node, with the invariants the EC paper's regime
+   calls for — writes keep flowing in minority partitions while the
+   quorum path freezes, replicas converge after heal, and a session
+   pinned to one node reads its own writes. *)
 
 module Nemesis = Net.Nemesis
 module Local = Net.Local
@@ -61,7 +61,7 @@ let default ~n ~schedule =
     grace = 100;
   }
 
-type heal = { heal_round : int; reconverged_in : int option }
+type heal = Net.Chaos.heal = { heal_round : int; reconverged_in : int option }
 
 type report = {
   rounds_run : int;
@@ -112,25 +112,14 @@ let pp_report ppf r =
   Format.fprintf ppf "logs        %s@,completion  %s@,"
     (if r.logs_identical then "identical" else "DIVERGED")
     (if r.all_applied then "all applied" else "MISSING COMMANDS");
-  let s = r.nemesis in
-  Format.fprintf ppf
-    "nemesis     dropped %d, duplicated %d, reordered %d, delayed %d@,"
-    s.Nemesis.n_dropped s.n_duplicated s.n_reordered s.n_delayed;
-  Format.fprintf ppf "rel         %d retransmits@," r.rel_retransmits;
-  (match r.failures with
-  | [] -> Format.fprintf ppf "invariants  all held@,"
-  | fs -> List.iter (fun f -> Format.fprintf ppf "FAILED      %s@," f) fs);
+  Net.Chaos.pp_tail ppf ~nemesis:[ r.nemesis ]
+    ~rel_retransmits:r.rel_retransmits ~failures:r.failures;
   Format.fprintf ppf "@]"
-
-let rec is_prefix shorter longer =
-  match (shorter, longer) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: s, b :: l -> a = b && is_prefix s l
 
 (* The cut window of the schedule: the first partition/isolate command to
    the first Heal after it.  The partition-specific invariants (EC flows,
-   SMR frozen) only fire when the schedule has one. *)
+   SMR frozen) only fire when the schedule has one.  A directed Cut opens
+   none: it can leave a majority component that still decides. *)
 let cut_window schedule =
   let start =
     List.find_map
@@ -156,31 +145,24 @@ let run ?collector cfg =
   let metrics =
     Option.map (fun (c : Obs.Collector.t) -> c.metrics) collector
   in
-  let ctrl =
-    Nemesis.create ?sink ?metrics ~seed:cfg.seed ~n:cfg.n cfg.schedule
+  let fx =
+    Net.Chaos.faults ?sink ?metrics ~seed:cfg.seed ~n:cfg.n
+      ~resend_every:cfg.resend_every cfg.schedule
   in
-  let rels = Array.make cfg.n None in
-  let wrap p raw =
-    let r =
-      Net.Rel.wrap ~resend_every:cfg.resend_every ?metrics
-        (Nemesis.wrap ctrl raw)
-    in
-    rels.(p) <- Some r;
-    Net.Rel.transport r
-  in
+  let ctrl = Net.Chaos.ctrl fx in
   let cluster =
     Local.make
       ~sink:(fun _ -> sink)
-      ~wrap
+      ~wrap:(Net.Chaos.wrap fx)
       ~codec:(Codecs.mixed Net.Wire.string_c)
       ~n:cfg.n
       (Mixed.protocol ~window:cfg.window ~sync_every:cfg.sync_every
          ~period:cfg.period ())
   in
-  let hub = Local.cluster_hub cluster in
+  let hub = Local.hub cluster in
   let alive p = not (Net.Loopback.crashed hub p) in
   let live () = List.filter alive (Sim.Pid.all cfg.n) in
-  let state p = Local.cluster_state cluster p in
+  let state p = Local.state cluster p in
   let store_of p = Mixed.store (state p) in
   let smr_applied_at p = Cons.Smr.applied (Mixed.smr_state (state p)) in
   let ec_leader_of p =
@@ -198,10 +180,10 @@ let run ?collector cfg =
   let decided_log p =
     List.filter_map
       (function Sim.Layered.Detector e -> Some e | Sim.Layered.Main _ -> None)
-      (Local.cluster_outputs cluster p)
+      (Local.outputs cluster p)
   in
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+  let fs = Net.Chaos.failures () in
+  let fail fmt = Net.Chaos.fail fs fmt in
   (* workload bookkeeping *)
   let ec_puts = Array.make cfg.n 0 in
   let put_seq = Array.make cfg.n 0 in
@@ -209,8 +191,12 @@ let run ?collector cfg =
   let last_put = Array.init cfg.n (fun _ -> Hashtbl.create 8) in
   let lin_submitted = ref [] in
   let n_lin = ref 0 in
-  let heals = ref [] in
-  let pending_heals = ref [] in
+  let heals =
+    Net.Chaos.heals ?metrics fs ~metric:"ec.heal_reagree_rounds"
+      ~leader:"agreed live EC leader" ~until:"EC leader re-agreement"
+      ~bound:cfg.heal_bound cfg.schedule
+  in
+  let dog = Net.Chaos.watchdog ~what:"SMR progress" fs ~bound:cfg.watchdog in
   let window = cut_window cfg.schedule in
   let stop_puts =
     match window with Some (_, h) -> h | None -> cfg.rounds / 2
@@ -222,9 +208,6 @@ let run ?collector cfg =
   let ec_puts_in_partition = ref 0 in
   let smr_frozen = ref true in
   let converged_in = ref None in
-  let last_progress = ref 0 in
-  let last_total = ref 0 in
-  let rounds_run = ref 0 in
   (* reference store: the join of every live replica's entries — what all
      of them will hold once anti-entropy finishes *)
   let reference () =
@@ -288,7 +271,7 @@ let run ?collector cfg =
       (fun p ->
         Hashtbl.iter
           (fun key (value, at_step) ->
-            if Local.cluster_now cluster p > at_step then
+            if Local.now cluster p > at_step then
               match Store.get (store_of p) key with
               | Some e when String.equal e.Entry.value value -> ()
               | Some e ->
@@ -300,23 +283,10 @@ let run ?collector cfg =
       (live ())
   in
   let check_online r =
-    let ps = live () in
-    List.iteri
-      (fun i p ->
-        List.iteri
-          (fun j q ->
-            if j > i then begin
-              let lp = decided_log p and lq = decided_log q in
-              if
-                not
-                  (if List.length lp <= List.length lq then is_prefix lp lq
-                   else is_prefix lq lp)
-              then
-                fail "round %d: SMR logs of %d and %d not prefix-consistent" r
-                  p q
-            end)
-          ps)
-      ps;
+    Net.Chaos.check_pairs (live ()) ~log:decided_log
+      ~diverged:(fun p q ->
+        fail "round %d: SMR logs of %d and %d not prefix-consistent" r p q)
+      ();
     check_ryw r;
     sample_gauges ()
   in
@@ -328,23 +298,8 @@ let run ?collector cfg =
       List.for_all (fun q -> String.equal (Store.fingerprint (store_of q)) f) rest
   in
   for r = 1 to cfg.rounds do
-    rounds_run := r;
-    Nemesis.tick ctrl;
-    List.iter
-      (fun p ->
-        if Nemesis.killed ctrl p && alive p then Local.cluster_crash cluster p)
-      (Sim.Pid.all cfg.n);
-    List.iter
-      (fun (t, c) ->
-        if t = r && c = Nemesis.Heal then
-          pending_heals :=
-            { heal_round = r; reconverged_in = None } :: !pending_heals)
-      cfg.schedule;
-    List.iter
-      (fun p ->
-        if r mod Nemesis.skew_of ctrl p = 0 then
-          Local.cluster_step_one cluster p)
-      (live ());
+    Net.Chaos.round fx r ~alive ~crash:(Local.crash cluster)
+      ~step:(Local.step_one cluster);
     (* EC workload: every session writes its own namespace at every live
        node — including (especially) during the partition *)
     if r mod cfg.puts_every = 0 && r <= stop_puts then
@@ -354,9 +309,9 @@ let run ?collector cfg =
           put_seq.(p) <- i + 1;
           let key = Printf.sprintf "s%d-k%d" p (i mod cfg.keys) in
           let value = Printf.sprintf "v%d-%d" p i in
-          Local.cluster_submit cluster p
+          Local.submit cluster p
             (Sim.Layered.Main (Replica.Put { key; value }));
-          Hashtbl.replace last_put.(p) key (value, Local.cluster_now cluster p);
+          Hashtbl.replace last_put.(p) key (value, Local.now cluster p);
           ec_puts.(p) <- ec_puts.(p) + 1;
           match metrics with
           | Some m ->
@@ -370,7 +325,7 @@ let run ?collector cfg =
       | [] -> ()
       | p :: _ ->
         let payload = Printf.sprintf "lin-%d" !n_lin in
-        Local.cluster_submit cluster p (Sim.Layered.Detector payload);
+        Local.submit cluster p (Sim.Layered.Detector payload);
         lin_submitted := (p, payload) :: !lin_submitted;
         incr n_lin
     end;
@@ -397,29 +352,7 @@ let run ?collector cfg =
         end
       end);
     (* Ω-EC reconvergence after heal *)
-    if !pending_heals <> [] && ec_agreed () then begin
-      List.iter
-        (fun h ->
-          let d = r - h.heal_round in
-          (match metrics with
-          | Some m -> Obs.Metrics.observe m "ec.heal_reagree_rounds" d
-          | None -> ());
-          heals := { h with reconverged_in = Some d } :: !heals)
-        !pending_heals;
-      pending_heals := []
-    end
-    else
-      pending_heals :=
-        List.filter
-          (fun h ->
-            if r - h.heal_round > cfg.heal_bound then begin
-              fail "heal at round %d: no agreed live EC leader within %d rounds"
-                h.heal_round cfg.heal_bound;
-              heals := h :: !heals;
-              false
-            end
-            else true)
-          !pending_heals;
+    Net.Chaos.track heals r ~agreed:ec_agreed;
     (* store convergence after the last write *)
     if r > stop_puts && !converged_in = None && not (Nemesis.cut_active ctrl)
     then begin
@@ -436,25 +369,13 @@ let run ?collector cfg =
       end
     end;
     (* SMR progress watchdog, only while the network is healthy *)
-    let total = smr_total () in
-    if total > !last_total then begin
-      last_total := total;
-      last_progress := r
-    end;
-    if not (Nemesis.healthy ctrl) then last_progress := r
-    else begin
-      let expected =
-        List.length (List.filter (fun (o, _) -> alive o) !lin_submitted)
-      in
-      let outstanding =
-        List.exists (fun p -> smr_applied_at p < expected) (live ())
-      in
-      if outstanding && r - !last_progress > cfg.watchdog then begin
-        fail "round %d: no SMR progress for %d rounds on a healthy network" r
-          cfg.watchdog;
-        last_progress := r
-      end
-    end;
+    Net.Chaos.progress dog r ~total:(smr_total ())
+      ~healthy:(Nemesis.healthy ctrl)
+      ~outstanding:(fun () ->
+        let expected =
+          List.length (List.filter (fun (o, _) -> alive o) !lin_submitted)
+        in
+        List.exists (fun p -> smr_applied_at p < expected) (live ()));
     if r mod cfg.check_every = 0 then check_online r
   done;
   check_online cfg.rounds;
@@ -469,55 +390,24 @@ let run ?collector cfg =
         None
       end
   in
-  List.iter
-    (fun h ->
-      fail "heal at round %d: run ended before EC leader re-agreement"
-        h.heal_round;
-      heals := h :: !heals)
-    !pending_heals;
-  let survivors = live () in
-  let logs_identical =
-    match survivors with
-    | [] -> true
-    | p :: rest ->
-      let lp = decided_log p in
-      List.for_all (fun q -> decided_log q = lp) rest
+  let heals = Net.Chaos.finish heals in
+  let logs_identical, all_applied =
+    Net.Chaos.check_survivors fs ~n:cfg.n ~survivors:(live ()) ~alive
+      ~log:decided_log ~submitted:!lin_submitted ~logs:"SMR logs"
+      ~cmds:"lin commands"
   in
-  if not logs_identical then fail "end of run: survivor SMR logs differ";
-  let majority_alive = 2 * List.length survivors > cfg.n in
-  let all_applied =
-    (not majority_alive)
-    || List.for_all
-         (fun (o, payload) ->
-           (not (alive o))
-           || List.for_all
-                (fun p ->
-                  List.exists
-                    (fun ((_, c) : int * string Cons.Smr.cmd) ->
-                      c.Cons.Smr.payload = payload)
-                    (decided_log p))
-                survivors)
-         !lin_submitted
-  in
-  if not all_applied then fail "end of run: submitted lin commands missing";
   {
-    rounds_run = !rounds_run;
+    rounds_run = max 0 cfg.rounds;
     ec_puts;
     ec_puts_in_partition = !ec_puts_in_partition;
     smr_submitted = !n_lin;
     smr_applied = Array.init cfg.n smr_applied_at;
     smr_frozen_in_partition = !smr_frozen;
     converged_in;
-    heals = List.rev !heals;
+    heals;
     logs_identical;
     all_applied;
-    failures = List.rev !failures;
+    failures = Net.Chaos.failed fs;
     nemesis = Nemesis.stats ctrl;
-    rel_retransmits =
-      Array.fold_left
-        (fun a ro ->
-          match ro with
-          | None -> a
-          | Some rl -> a + (Net.Rel.stats rl).Net.Rel.retransmits)
-        0 rels;
+    rel_retransmits = Net.Chaos.retransmits fx;
   }

@@ -1,8 +1,7 @@
-(** Chaos harness for the mixed-consistency cluster: {!Net.Chaos}'s
-    deterministic loopback driver (Nemesis faults + Rel ARQ under every
-    node, one tick per round, pure function of [(seed, schedule,
-    workload)]) pointed at {!Mixed.protocol}, with the EC-specific online
-    invariants:
+(** Chaos harness for the mixed-consistency cluster: the {!Net.Chaos}
+    kernel (Nemesis faults + Rel ARQ under every node, one tick per
+    round, pure function of [(seed, schedule, workload)]) pointed at
+    {!Mixed.protocol}, with the EC-specific online invariants:
 
     - {b EC availability}: during the schedule's cut window the stores'
       revision total must keep growing — writes flow in minority
@@ -18,8 +17,9 @@
       session's latest write;
     - {b Ω-EC re-agreement}: after each [Heal], live nodes must again
       agree on a live {!Fd.Emulated.Omega_ec} leader;
-    - plus {!Net.Chaos}'s SMR checks (prefix-consistent and finally
-      identical decided logs, progress watchdog on a healthy network).
+    - plus the kernel's SMR checks over the decided logs: pairwise
+      prefix consistency, the progress watchdog on a healthy network,
+      identical survivor logs and every linearizable command applied.
 
     Metrics (when a collector is passed): [ec.puts{node=p}] counters,
     [ec.divergent_keys] and [ec.replication_lag{node=p}] gauges,
@@ -51,13 +51,15 @@ val default_schedule : int -> Net.Nemesis.schedule
 
 val default : n:int -> schedule:Net.Nemesis.schedule -> config
 
-(** The schedule's cut window: the first [Partition]/[Isolate]/[Cut]
-    round and the first later [Heal] round, if both exist.  This is the
-    window the availability and frozen-SMR invariants are evaluated
-    over (also used by the bench rows). *)
+(** The schedule's cut window: the first [Partition]/[Isolate] round
+    and the first later [Heal] round, if both exist.  This is the window
+    the availability and frozen-SMR invariants are evaluated over (also
+    used by the bench rows).  A directed [Cut] opens no window: one cut
+    link can leave a majority component that still decides, so "SMR
+    frozen" must not be asserted for it. *)
 val cut_window : Net.Nemesis.schedule -> (int * int) option
 
-type heal = { heal_round : int; reconverged_in : int option }
+type heal = Net.Chaos.heal = { heal_round : int; reconverged_in : int option }
 
 type report = {
   rounds_run : int;

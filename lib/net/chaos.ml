@@ -1,3 +1,212 @@
+(* ---------------------------------------------------------- the kernel *)
+
+(* The pieces every chaos harness shares — the SMR run below, Shard.Chaos
+   and Ec.Chaos — so each of those keeps only its config, its report and
+   its own invariants. *)
+
+type faults = {
+  ctrl : Nemesis.ctrl;
+  rels : Rel.t option array;
+  resend_every : int;
+  metrics : Obs.Metrics.t option;
+}
+
+let faults ?sink ?metrics ~seed ~n ~resend_every schedule =
+  {
+    ctrl = Nemesis.create ?sink ?metrics ~seed ~n schedule;
+    rels = Array.make n None;
+    resend_every;
+    metrics;
+  }
+
+let ctrl f = f.ctrl
+
+let wrap f p raw =
+  let r =
+    Rel.wrap ~resend_every:f.resend_every ?metrics:f.metrics
+      (Nemesis.wrap f.ctrl raw)
+  in
+  f.rels.(p) <- Some r;
+  Rel.transport r
+
+let retransmits f =
+  Array.fold_left
+    (fun a -> function None -> a | Some r -> a + (Rel.stats r).retransmits)
+    0 f.rels
+
+let round f r ~alive ~crash ~step =
+  let all = Sim.Pid.all (Array.length f.rels) in
+  Nemesis.tick f.ctrl;
+  (* crash-stop faults: silence the hub and stop stepping *)
+  List.iter (fun p -> if Nemesis.killed f.ctrl p && alive p then crash p) all;
+  (* every live node steps, skewed ones only every k-th round *)
+  List.iter
+    (fun p -> if alive p && r mod Nemesis.skew_of f.ctrl p = 0 then step p)
+    all
+
+type failures = { mutable rev : string list }
+
+let failures () = { rev = [] }
+let fail f fmt = Format.kasprintf (fun s -> f.rev <- s :: f.rev) fmt
+let failed f = List.rev f.rev
+
+(* is [shorter] a prefix of [longer]? *)
+let rec is_prefix shorter longer =
+  match (shorter, longer) with
+  | [], _ -> true
+  | _, [] -> false
+  | a :: s, b :: l -> a = b && is_prefix s l
+
+let check_pairs ps ~log ~diverged ?(pair = fun _ _ -> ()) () =
+  List.iteri
+    (fun i p ->
+      List.iteri
+        (fun j q ->
+          if j > i then begin
+            let lp = log p and lq = log q in
+            if
+              not
+                (if List.length lp <= List.length lq then is_prefix lp lq
+                 else is_prefix lq lp)
+            then diverged p q;
+            pair p q
+          end)
+        ps)
+    ps
+
+type watchdog = {
+  wfail : failures;
+  what : string;
+  bound : int;
+  mutable last_total : int;
+  mutable last_progress : int;
+}
+
+let watchdog ?(what = "progress") wfail ~bound =
+  { wfail; what; bound; last_total = 0; last_progress = 0 }
+
+let progress w r ~total ~healthy ~outstanding =
+  if total > w.last_total then begin
+    w.last_total <- total;
+    w.last_progress <- r
+  end;
+  if not healthy then w.last_progress <- r
+  else if outstanding () && r - w.last_progress > w.bound then begin
+    fail w.wfail "round %d: no %s for %d rounds on a healthy network" r
+      w.what w.bound;
+    w.last_progress <- r
+  end
+
+type heal = { heal_round : int; reconverged_in : int option }
+
+type heals = {
+  hfail : failures;
+  schedule : Nemesis.schedule;
+  hmetrics : Obs.Metrics.t option;
+  metric : string;
+  leader : string;
+  until : string;
+  hbound : int;
+  mutable pending : heal list;
+  mutable closed : heal list;  (* newest first *)
+}
+
+let heals ?metrics hfail ~metric ~leader ~until ~bound schedule =
+  {
+    hfail;
+    schedule;
+    hmetrics = metrics;
+    metric;
+    leader;
+    until;
+    hbound = bound;
+    pending = [];
+    closed = [];
+  }
+
+let track h r ~agreed =
+  (* a Heal scheduled at this tick starts the reconvergence clock *)
+  List.iter
+    (fun (t, c) ->
+      if t = r && c = Nemesis.Heal then
+        h.pending <- { heal_round = r; reconverged_in = None } :: h.pending)
+    h.schedule;
+  if h.pending <> [] && agreed () then begin
+    List.iter
+      (fun x ->
+        let d = r - x.heal_round in
+        (match h.hmetrics with
+        | Some m -> Obs.Metrics.observe m h.metric d
+        | None -> ());
+        h.closed <- { x with reconverged_in = Some d } :: h.closed)
+      h.pending;
+    h.pending <- []
+  end
+  else
+    h.pending <-
+      List.filter
+        (fun x ->
+          if r - x.heal_round > h.hbound then begin
+            fail h.hfail "heal at round %d: no %s within %d rounds"
+              x.heal_round h.leader h.hbound;
+            h.closed <- x :: h.closed;
+            false
+          end
+          else true)
+        h.pending
+
+let finish h =
+  List.iter
+    (fun x ->
+      fail h.hfail "heal at round %d: run ended before %s" x.heal_round
+        h.until;
+      h.closed <- x :: h.closed)
+    h.pending;
+  h.pending <- [];
+  List.rev h.closed
+
+let logs_identical survivors ~log =
+  match survivors with
+  | [] -> true
+  | p :: rest ->
+    let lp = log p in
+    List.for_all (fun q -> log q = lp) rest
+
+let check_survivors fs ~n ~survivors ~alive ~log ~submitted ~logs ~cmds =
+  let identical = logs_identical survivors ~log in
+  if not identical then fail fs "end of run: survivor %s differ" logs;
+  let majority_alive = 2 * List.length survivors > n in
+  let all_applied =
+    (not majority_alive)
+    || List.for_all
+         (fun (o, payload) ->
+           (not (alive o))
+           || List.for_all
+                (fun p ->
+                  List.exists
+                    (fun (_, (c : _ Cons.Smr.cmd)) -> c.payload = payload)
+                    (log p))
+                survivors)
+         submitted
+  in
+  if not all_applied then fail fs "end of run: submitted %s missing" cmds;
+  (identical, all_applied)
+
+let pp_tail ppf ~nemesis ~rel_retransmits ~failures =
+  let sum f = List.fold_left (fun a s -> a + f s) 0 nemesis in
+  Format.fprintf ppf
+    "nemesis     dropped %d, duplicated %d, reordered %d, delayed %d@,"
+    (sum (fun s -> s.Nemesis.n_dropped))
+    (sum (fun s -> s.Nemesis.n_duplicated))
+    (sum (fun s -> s.Nemesis.n_reordered))
+    (sum (fun s -> s.Nemesis.n_delayed));
+  Format.fprintf ppf "rel         %d retransmits@," rel_retransmits;
+  match failures with
+  | [] -> Format.fprintf ppf "invariants  all held@,"
+  | fs -> List.iter (fun f -> Format.fprintf ppf "FAILED      %s@," f) fs
+
+(* ------------------------------------------------------ the SMR harness *)
+
 type config = {
   n : int;
   seed : int;
@@ -30,8 +239,6 @@ let default ~n ~schedule =
     heal_bound = 1_200;
     resend_every = 8;
   }
-
-type heal = { heal_round : int; reconverged_in : int option }
 
 type report = {
   rounds_run : int;
@@ -67,46 +274,28 @@ let pp_report ppf r =
         Format.fprintf ppf "heal @@%d    leader NOT re-agreed in bound@,"
           h.heal_round)
     r.heals;
-  let s = r.nemesis in
-  Format.fprintf ppf
-    "nemesis     dropped %d, duplicated %d, reordered %d, delayed %d@,"
-    s.Nemesis.n_dropped s.n_duplicated s.n_reordered s.n_delayed;
-  Format.fprintf ppf "rel         %d retransmits@," r.rel_retransmits;
-  (match r.failures with
-  | [] -> Format.fprintf ppf "invariants  all held@,"
-  | fs ->
-    List.iter (fun f -> Format.fprintf ppf "FAILED      %s@," f) fs);
+  pp_tail ppf ~nemesis:[ r.nemesis ] ~rel_retransmits:r.rel_retransmits
+    ~failures:r.failures;
   Format.fprintf ppf "@]"
-
-(* is [shorter] a prefix of [longer]?  Logs are (slot, cmd) in slot order. *)
-let rec is_prefix shorter longer =
-  match (shorter, longer) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: s, b :: l -> a = b && is_prefix s l
 
 let run ?collector cfg =
   let sink = Option.map (fun (c : Obs.Collector.t) -> c.sink) collector in
   let metrics =
     Option.map (fun (c : Obs.Collector.t) -> c.metrics) collector
   in
-  let ctrl =
-    Nemesis.create ?sink ?metrics ~seed:cfg.seed ~n:cfg.n cfg.schedule
-  in
-  let rels = Array.make cfg.n None in
-  let wrap p raw =
-    let r = Rel.wrap ~resend_every:cfg.resend_every ?metrics (Nemesis.wrap ctrl raw) in
-    rels.(p) <- Some r;
-    Rel.transport r
+  let fx =
+    faults ?sink ?metrics ~seed:cfg.seed ~n:cfg.n
+      ~resend_every:cfg.resend_every cfg.schedule
   in
   let cluster =
     Local.create ~period:cfg.period ~detector:cfg.detector ~window:cfg.window
-      ~sink:(fun _ -> sink) ~wrap ?metrics ~n:cfg.n ()
+      ~sink:(fun _ -> sink) ~wrap:(wrap fx) ?metrics ~n:cfg.n ()
   in
   let hub = Local.hub cluster in
   let alive p = not (Loopback.crashed hub p) in
   let live () = List.filter alive (Sim.Pid.all cfg.n) in
-  let applied_at p = List.length (Local.applied_log cluster p) in
+  let log p = Local.outputs cluster p in
+  let applied_at p = List.length (log p) in
   let leader_of p =
     Fd.Emulated.Omega.current (Smr_node.omega_state (Local.state cluster p))
   in
@@ -123,57 +312,30 @@ let run ?collector cfg =
       let l = leader_of p in
       alive l && List.for_all (fun q -> leader_of q = l) rest
   in
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+  let fs = failures () in
   (* submitted commands, newest first: payload and origin replica *)
   let submitted = ref [] in
   let n_submitted = ref 0 in
-  let heals = ref [] in (* completed, newest first *)
-  let pending_heals = ref [] in
-  let last_progress = ref 0 in
-  let last_total = ref 0 in
-  let rounds_run = ref 0 in
+  let heals =
+    heals ?metrics fs ~metric:"net.partition_heal_ms"
+      ~leader:"single live leader" ~until:"reconvergence"
+      ~bound:cfg.heal_bound cfg.schedule
+  in
+  let dog = watchdog fs ~bound:cfg.watchdog in
   let check_online r =
-    let ps = live () in
-    List.iteri
-      (fun i p ->
-        List.iteri
-          (fun j q ->
-            if j > i then begin
-              let lp = Local.applied_log cluster p
-              and lq = Local.applied_log cluster q in
-              if
-                not
-                  (if List.length lp <= List.length lq then is_prefix lp lq
-                   else is_prefix lq lp)
-              then
-                fail "round %d: logs of %d and %d not prefix-consistent" r p
-                  q;
-              match (quorum_of p, quorum_of q) with
-              | Some a, Some b when not (Sim.Pidset.intersects a b) ->
-                fail "round %d: disjoint quorums at %d and %d" r p q
-              | _ -> ()
-            end)
-          ps)
-      ps
+    check_pairs (live ()) ~log
+      ~diverged:(fun p q ->
+        fail fs "round %d: logs of %d and %d not prefix-consistent" r p q)
+      ~pair:(fun p q ->
+        match (quorum_of p, quorum_of q) with
+        | Some a, Some b when not (Sim.Pidset.intersects a b) ->
+          fail fs "round %d: disjoint quorums at %d and %d" r p q
+        | _ -> ())
+      ()
   in
   for r = 1 to cfg.rounds do
-    rounds_run := r;
-    Nemesis.tick ctrl;
-    (* crash-stop faults: silence the hub and stop stepping *)
-    List.iter
-      (fun p -> if Nemesis.killed ctrl p && alive p then Local.crash cluster p)
-      (Sim.Pid.all cfg.n);
-    (* a Heal scheduled at this tick starts the reconvergence clock *)
-    List.iter
-      (fun (t, c) ->
-        if t = r && c = Nemesis.Heal then
-          pending_heals := { heal_round = r; reconverged_in = None } :: !pending_heals)
-      cfg.schedule;
-    (* one round: every live node steps, skewed ones only every k-th *)
-    List.iter
-      (fun p -> if r mod Nemesis.skew_of ctrl p = 0 then Local.step_one cluster p)
-      (live ());
+    round fx r ~alive ~crash:(Local.crash cluster)
+      ~step:(Local.step_one cluster);
     (* workload: submit at the lowest live replica *)
     if r mod cfg.cmd_every = 0 && !n_submitted < cfg.cmds then begin
       match live () with
@@ -184,95 +346,31 @@ let run ?collector cfg =
         submitted := (p, payload) :: !submitted;
         incr n_submitted
     end;
-    (* Ω reconvergence after heal *)
-    if !pending_heals <> [] && omega_agreed () then begin
-      List.iter
-        (fun h ->
-          let d = r - h.heal_round in
-          (match metrics with
-          | Some m -> Obs.Metrics.observe m "net.partition_heal_ms" d
-          | None -> ());
-          heals := { h with reconverged_in = Some d } :: !heals)
-        !pending_heals;
-      pending_heals := []
-    end
-    else
-      pending_heals :=
-        List.filter
-          (fun h ->
-            if r - h.heal_round > cfg.heal_bound then begin
-              fail "heal at round %d: no single live leader within %d rounds"
-                h.heal_round cfg.heal_bound;
-              heals := h :: !heals;
-              false
-            end
-            else true)
-          !pending_heals;
-    (* progress watchdog: while the network delivers and work is
-       outstanding, the applied total must grow *)
-    let total = List.fold_left (fun a p -> a + applied_at p) 0 (live ()) in
-    if total > !last_total then begin
-      last_total := total;
-      last_progress := r
-    end;
-    if not (Nemesis.healthy ctrl) then last_progress := r
-    else begin
-      let expected =
-        List.length (List.filter (fun (o, _) -> alive o) !submitted)
-      in
-      let outstanding =
-        List.exists (fun p -> applied_at p < expected) (live ())
-      in
-      if outstanding && r - !last_progress > cfg.watchdog then begin
-        fail "round %d: no progress for %d rounds on a healthy network" r
-          cfg.watchdog;
-        last_progress := r
-      end
-    end;
+    track heals r ~agreed:omega_agreed;
+    progress dog r
+      ~total:(List.fold_left (fun a p -> a + applied_at p) 0 (live ()))
+      ~healthy:(Nemesis.healthy fx.ctrl)
+      ~outstanding:(fun () ->
+        let expected =
+          List.length (List.filter (fun (o, _) -> alive o) !submitted)
+        in
+        List.exists (fun p -> applied_at p < expected) (live ()));
     if r mod cfg.check_every = 0 then check_online r
   done;
   check_online cfg.rounds;
-  List.iter
-    (fun h ->
-      fail "heal at round %d: run ended before reconvergence" h.heal_round;
-      heals := h :: !heals)
-    !pending_heals;
-  let survivors = live () in
-  let logs_identical =
-    match survivors with
-    | [] -> true
-    | p :: rest ->
-      let lp = Local.applied_log cluster p in
-      List.for_all (fun q -> Local.applied_log cluster q = lp) rest
+  let heals = finish heals in
+  let logs_identical, all_applied =
+    check_survivors fs ~n:cfg.n ~survivors:(live ()) ~alive ~log
+      ~submitted:!submitted ~logs:"logs" ~cmds:"commands"
   in
-  if not logs_identical then fail "end of run: survivor logs differ";
-  let majority_alive = 2 * List.length survivors > cfg.n in
-  let all_applied =
-    (not majority_alive)
-    || List.for_all
-         (fun (o, payload) ->
-           (not (alive o))
-           || List.for_all
-                (fun p ->
-                  List.exists
-                    (fun (_, (c : _ Cons.Smr.cmd)) -> c.payload = payload)
-                    (Local.applied_log cluster p))
-                survivors)
-         !submitted
-  in
-  if not all_applied then fail "end of run: submitted commands missing";
   {
-    rounds_run = !rounds_run;
+    rounds_run = max 0 cfg.rounds;
     submitted = !n_submitted;
     applied = Array.init cfg.n applied_at;
     logs_identical;
     all_applied;
-    heals = List.rev !heals;
-    failures = List.rev !failures;
-    nemesis = Nemesis.stats ctrl;
-    rel_retransmits =
-      Array.fold_left
-        (fun a ro ->
-          match ro with None -> a | Some rl -> a + (Rel.stats rl).retransmits)
-        0 rels;
+    heals;
+    failures = failed fs;
+    nemesis = Nemesis.stats fx.ctrl;
+    rel_retransmits = retransmits fx;
   }

@@ -1,6 +1,6 @@
 (* Generic core: any protocol, one loopback hub, round-robin driving.
-   The SMR-specialised API below instantiates it with Smr_node.protocol;
-   Shard.Group instantiates it with the reconfigurable shard replica. *)
+   [create] below instantiates it with Smr_node.protocol; Shard.Group
+   instantiates it with the reconfigurable shard replica. *)
 
 type ('st, 'msg, 'inp, 'out) cluster = {
   hub : Loopback.hub;
@@ -21,9 +21,9 @@ let make ?(sink = fun _ -> None) ?(wrap = fun _ t -> t) ?codec ?metrics
     logs = Array.init n (fun _ -> ref []);
   }
 
-let cluster_hub t = t.hub
+let hub t = t.hub
 
-let cluster_step_one t p =
+let step_one t p =
   if not (Loopback.crashed t.hub p) then begin
     let node = t.nodes.(p) in
     ignore (Node.step node);
@@ -32,18 +32,18 @@ let cluster_step_one t p =
     | outs -> t.logs.(p) := List.rev_append outs !(t.logs.(p))
   end
 
-let cluster_step t = Array.iteri (fun p _ -> cluster_step_one t p) t.nodes
+let step t = Array.iteri (fun p _ -> step_one t p) t.nodes
 
-let cluster_run t ~rounds =
+let run t ~rounds =
   for _ = 1 to rounds do
-    cluster_step t
+    step t
   done
 
-let cluster_submit t p c = Node.inject t.nodes.(p) c
-let cluster_crash t p = Loopback.crash t.hub p
-let cluster_outputs t p = List.rev !(t.logs.(p))
-let cluster_state t p = Node.state t.nodes.(p)
-let cluster_now t p = Node.now t.nodes.(p)
+let submit t p c = Node.inject t.nodes.(p) c
+let crash t p = Loopback.crash t.hub p
+let outputs t p = List.rev !(t.logs.(p))
+let state t p = Node.state t.nodes.(p)
+let now t p = Node.now t.nodes.(p)
 
 (* ------------------------------------------------- the SMR instance *)
 
@@ -59,13 +59,3 @@ let create ?(period = 16) ?window ?batch_max ?detector ?sigma_period ?sink
     ~codec:(Codecs.pmsg Wire.string_c)
     ?metrics ~classify:Smr_node.classify ~n
     (Smr_node.protocol ?window ?batch_max ?detector ?sigma_period ~period ())
-
-let hub = cluster_hub
-let step_one = cluster_step_one
-let step = cluster_step
-let run = cluster_run
-let submit = cluster_submit
-let crash = cluster_crash
-let applied_log = cluster_outputs
-let state = cluster_state
-let now = cluster_now

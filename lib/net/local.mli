@@ -7,13 +7,13 @@
     SIGKILL: its frames stop, its steps stop, and the survivors' detectors
     notice by missing heartbeats.
 
-    The {e generic core} ({!cluster}, {!make}, [cluster_*]) runs {e any}
-    [Sim.Protocol.t] — it is what lets [Shard.Group] host many independent
-    replica groups (one hub per shard) without duplicating the driver.
-    The ['c t] API below is the historical SMR instantiation used by the
-    demo, the chaos harness and the benches. *)
+    The driver is generic: {!make} runs {e any} [Sim.Protocol.t] — it is
+    what lets [Shard.Group] host many independent replica groups (one hub
+    per shard) without duplicating the driver.  {!create} is the SMR
+    instantiation used by the demo, the chaos harness and the benches;
+    every operation below works on both. *)
 
-(** {2 Generic core} *)
+(** {2 The driver} *)
 
 type ('st, 'msg, 'inp, 'out) cluster
 
@@ -34,25 +34,31 @@ val make :
   ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t ->
   ('st, 'msg, 'inp, 'out) cluster
 
-val cluster_hub : _ cluster -> Loopback.hub
+val hub : _ cluster -> Loopback.hub
 
-(** One step of a single node, if live. *)
-val cluster_step_one : _ cluster -> Sim.Pid.t -> unit
+(** One step of a single node, if live ({!Chaos} uses this to slow a
+    skewed node's clock by stepping it only every k-th round). *)
+val step_one : _ cluster -> Sim.Pid.t -> unit
 
 (** One round: every live node takes one step (pid order). *)
-val cluster_step : _ cluster -> unit
+val step : _ cluster -> unit
 
-val cluster_run : _ cluster -> rounds:int -> unit
-val cluster_submit : (_, _, 'inp, _) cluster -> Sim.Pid.t -> 'inp -> unit
-val cluster_crash : _ cluster -> Sim.Pid.t -> unit
+val run : _ cluster -> rounds:int -> unit
 
-(** Outputs emitted by [p] so far, oldest first. *)
-val cluster_outputs : (_, _, _, 'out) cluster -> Sim.Pid.t -> 'out list
+(** [submit t p c]: inject input [c] at node [p] (its next step). *)
+val submit : (_, _, 'inp, _) cluster -> Sim.Pid.t -> 'inp -> unit
 
-val cluster_state : ('st, _, _, _) cluster -> Sim.Pid.t -> 'st
+(** Kill a node: no more steps, frames from/to it vanish. *)
+val crash : _ cluster -> Sim.Pid.t -> unit
+
+(** Outputs emitted by [p] so far, oldest first — for the SMR
+    instantiation, the decided entries applied by [p], in slot order. *)
+val outputs : (_, _, _, 'out) cluster -> Sim.Pid.t -> 'out list
+
+val state : ('st, _, _, _) cluster -> Sim.Pid.t -> 'st
 
 (** Local step counter of [p] (= rounds it has taken). *)
-val cluster_now : _ cluster -> Sim.Pid.t -> int
+val now : _ cluster -> Sim.Pid.t -> int
 
 (** {2 The SMR instantiation} *)
 
@@ -78,26 +84,3 @@ val create :
   ?metrics:Obs.Metrics.t ->
   n:int ->
   unit -> string t
-
-val hub : 'c t -> Loopback.hub
-val step : 'c t -> unit
-
-(** One step of a single node, if live ({!Chaos} uses this to slow a
-    skewed node's clock by stepping it only every k-th round). *)
-val step_one : 'c t -> Sim.Pid.t -> unit
-
-val run : 'c t -> rounds:int -> unit
-
-(** [submit t p c]: inject command [c] at replica [p] (its next step). *)
-val submit : 'c t -> Sim.Pid.t -> 'c -> unit
-
-(** Kill a replica: no more steps, frames from/to it vanish. *)
-val crash : 'c t -> Sim.Pid.t -> unit
-
-(** Decided entries applied by [p] so far, in slot order. *)
-val applied_log : 'c t -> Sim.Pid.t -> (int * 'c Cons.Smr.cmd) list
-
-val state : 'c t -> Sim.Pid.t -> 'c Smr_node.pstate
-
-(** Local step counter of [p] (= rounds it has taken). *)
-val now : 'c t -> Sim.Pid.t -> int

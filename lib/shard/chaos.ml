@@ -1,6 +1,6 @@
 (* Chaos harness for the sharded service: every shard gets its own
-   Nemesis controller (same schedule, shard-salted seed) under the
-   node -> Rel -> Nemesis -> hub stack, a seeded Zipfian closed-loop
+   Net.Chaos kernel fault stack (same schedule, shard-salted seed) under
+   the node -> Rel -> Nemesis -> hub stack, a seeded Zipfian closed-loop
    workload routed through the ring, an optional scripted mid-run
    reconfiguration of every shard, and the sharded invariants checked
    online:
@@ -96,29 +96,9 @@ let pp_report ppf r =
     (if r.logs_identical then "identical per shard" else "DIVERGED")
     (if r.all_applied then "all applied" else "MISSING COMMANDS")
     (if r.no_duplicates then "none" else "DUPLICATED COMMANDS");
-  let d, du, re, dl =
-    Array.fold_left
-      (fun (d, du, re, dl) (s : Net.Nemesis.stats) ->
-        ( d + s.n_dropped,
-          du + s.n_duplicated,
-          re + s.n_reordered,
-          dl + s.n_delayed ))
-      (0, 0, 0, 0) r.nemesis
-  in
-  Format.fprintf ppf
-    "nemesis     dropped %d, duplicated %d, reordered %d, delayed %d@," d du
-    re dl;
-  Format.fprintf ppf "rel         %d retransmits@," r.rel_retransmits;
-  (match r.failures with
-  | [] -> Format.fprintf ppf "invariants  all held@,"
-  | fs -> List.iter (fun f -> Format.fprintf ppf "FAILED      %s@," f) fs);
+  Net.Chaos.pp_tail ppf ~nemesis:(Array.to_list r.nemesis)
+    ~rel_retransmits:r.rel_retransmits ~failures:r.failures;
   Format.fprintf ppf "@]"
-
-let rec is_prefix shorter longer =
-  match (shorter, longer) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: s, b :: l -> a = b && is_prefix s l
 
 let run ?collector cfg =
   let sink = Option.map (fun (c : Obs.Collector.t) -> c.sink) collector in
@@ -126,27 +106,19 @@ let run ?collector cfg =
     Option.map (fun (c : Obs.Collector.t) -> c.metrics) collector
   in
   let universe = cfg.replicas + cfg.spares in
-  let ctrls =
+  let faults =
     Array.init cfg.shards (fun s ->
-        Net.Nemesis.create ?sink ?metrics ~seed:(cfg.seed + s) ~n:universe
-          cfg.schedule)
+        Net.Chaos.faults ?sink ?metrics ~seed:(cfg.seed + s) ~n:universe
+          ~resend_every:cfg.resend_every cfg.schedule)
   in
-  let rels = Array.init cfg.shards (fun _ -> Array.make universe None) in
-  let wrap ~shard p raw =
-    let r =
-      Net.Rel.wrap ~resend_every:cfg.resend_every ?metrics
-        (Net.Nemesis.wrap ctrls.(shard) raw)
-    in
-    rels.(shard).(p) <- Some r;
-    Net.Rel.transport r
-  in
+  let wrap ~shard = Net.Chaos.wrap faults.(shard) in
   let cluster =
     Cluster.create ~period:cfg.period ~detector:cfg.detector
       ?sink:(Option.map (fun s ~shard:_ _ -> Some s) sink)
       ~wrap ~shards:cfg.shards ~replicas:cfg.replicas ~spares:cfg.spares ()
   in
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+  let fs = Net.Chaos.failures () in
+  let fail fmt = Net.Chaos.fail fs fmt in
   (* workload bookkeeping: (shard, origin, key, value), newest first *)
   let submitted = ref [] in
   let n_submitted = ref 0 in
@@ -160,39 +132,27 @@ let run ?collector cfg =
     for s = 0 to cfg.shards - 1 do
       let g = Cluster.group cluster s in
       let ps = live s in
-      List.iteri
-        (fun i p ->
-          List.iteri
-            (fun j q ->
-              if j > i then begin
-                let lp = Group.applied_log g p and lq = Group.applied_log g q in
-                if
-                  not
-                    (if List.length lp <= List.length lq then is_prefix lp lq
-                     else is_prefix lq lp)
-                then
-                  fail "round %d shard %d: logs of %d and %d not prefix-consistent"
-                    r s p q;
-                let sp = Group.state g p and sq = Group.state g q in
-                let ep = Replica.epoch sp and eq = Replica.epoch sq in
-                if ep = eq then begin
-                  let qp =
-                    Fd.Emulated.Sigma_epoch.current (Replica.sigma_state sp)
-                  and qq =
-                    Fd.Emulated.Sigma_epoch.current (Replica.sigma_state sq)
-                  in
-                  if not (Sim.Pidset.intersects qp qq) then
-                    fail "round %d shard %d: disjoint quorums at %d and %d" r
-                      s p q
-                end
-                else if Replica.applied sp = Replica.applied sq then
-                  fail
-                    "round %d shard %d: %d and %d in epochs %d/%d with equal \
-                     applied count %d"
-                    r s p q ep eq (Replica.applied sp)
-              end)
-            ps)
-        ps;
+      Net.Chaos.check_pairs ps ~log:(Group.applied_log g)
+        ~diverged:(fun p q ->
+          fail "round %d shard %d: logs of %d and %d not prefix-consistent" r
+            s p q)
+        ~pair:(fun p q ->
+          let sp = Group.state g p and sq = Group.state g q in
+          let ep = Replica.epoch sp and eq = Replica.epoch sq in
+          if ep = eq then begin
+            let qp = Fd.Emulated.Sigma_epoch.current (Replica.sigma_state sp)
+            and qq =
+              Fd.Emulated.Sigma_epoch.current (Replica.sigma_state sq)
+            in
+            if not (Sim.Pidset.intersects qp qq) then
+              fail "round %d shard %d: disjoint quorums at %d and %d" r s p q
+          end
+          else if Replica.applied sp = Replica.applied sq then
+            fail
+              "round %d shard %d: %d and %d in epochs %d/%d with equal \
+               applied count %d"
+              r s p q ep eq (Replica.applied sp))
+        ();
       (* the handoff contract, per replica: the held quorum is of the
          replica's own epoch, and Σ's epoch tracks the applied config *)
       List.iter
@@ -211,38 +171,23 @@ let run ?collector cfg =
         ps
     done
   in
-  let last_progress = ref 0 in
-  let last_total = ref 0 in
+  let dog = Net.Chaos.watchdog fs ~bound:cfg.watchdog in
   let r = ref 0 in
   let do_round () =
     incr r;
     let r = !r in
     Array.iteri
-      (fun s ctrl ->
-        Net.Nemesis.tick ctrl;
+      (fun s f ->
         let g = Cluster.group cluster s in
-        List.iter
-          (fun p ->
-            if Net.Nemesis.killed ctrl p && not (Group.crashed g p) then
-              Group.crash g p)
-          (Sim.Pid.all universe);
-        List.iter
-          (fun p ->
-            if r mod Net.Nemesis.skew_of ctrl p = 0 then Group.step_one g p)
-          (Group.live g))
-      ctrls;
+        Net.Chaos.round f r
+          ~alive:(fun p -> not (Group.crashed g p))
+          ~crash:(Group.crash g) ~step:(Group.step_one g))
+      faults;
     (* progress watchdog across the whole service *)
-    let total = Cluster.applied_total cluster in
-    if total > !last_total then begin
-      last_total := total;
-      last_progress := r
-    end;
-    let healthy =
-      Array.for_all (fun c -> Net.Nemesis.healthy c) ctrls
-    in
-    if not healthy then last_progress := r
-    else begin
-      let outstanding =
+    Net.Chaos.progress dog r ~total:(Cluster.applied_total cluster)
+      ~healthy:
+        (Array.for_all (fun f -> Net.Nemesis.healthy (Net.Chaos.ctrl f)) faults)
+      ~outstanding:(fun () ->
         List.exists
           (fun (s, o, _, value) ->
             (not (Group.crashed (Cluster.group cluster s) o))
@@ -256,14 +201,7 @@ let run ?collector cfg =
                           | Replica.Reconfig _ -> false)
                         (Group.applied_log (Cluster.group cluster s) p)))
                  (live s))
-          !submitted
-      in
-      if outstanding && r - !last_progress > cfg.watchdog then begin
-        fail "round %d: no progress for %d rounds on a healthy network" r
-          cfg.watchdog;
-        last_progress := r
-      end
-    end;
+          !submitted);
     if r mod cfg.check_every = 0 then check_online r
   in
   let router =
@@ -397,14 +335,11 @@ let run ?collector cfg =
   let no_duplicates = ref true in
   for s = 0 to cfg.shards - 1 do
     let g = Cluster.group cluster s in
-    (match live s with
-    | [] -> ()
-    | p :: rest ->
-      let lp = Group.applied_log g p in
-      if not (List.for_all (fun q -> Group.applied_log g q = lp) rest) then begin
-        logs_identical := false;
-        fail "end of run shard %d: survivor logs differ" s
-      end);
+    if not (Net.Chaos.logs_identical (live s) ~log:(Group.applied_log g))
+    then begin
+      logs_identical := false;
+      fail "end of run shard %d: survivor logs differ" s
+    end;
     List.iter
       (fun p ->
         let values =
@@ -478,16 +413,8 @@ let run ?collector cfg =
     logs_identical = !logs_identical;
     all_applied = !all_applied;
     no_duplicates = !no_duplicates;
-    failures = List.rev !failures;
-    nemesis = Array.map Net.Nemesis.stats ctrls;
+    failures = Net.Chaos.failed fs;
+    nemesis = Array.map (fun f -> Net.Nemesis.stats (Net.Chaos.ctrl f)) faults;
     rel_retransmits =
-      Array.fold_left
-        (fun acc per_shard ->
-          Array.fold_left
-            (fun a ro ->
-              match ro with
-              | None -> a
-              | Some rl -> a + (Net.Rel.stats rl).Net.Rel.retransmits)
-            acc per_shard)
-        0 rels;
+      Array.fold_left (fun a f -> a + Net.Chaos.retransmits f) 0 faults;
   }

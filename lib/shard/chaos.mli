@@ -1,22 +1,22 @@
-(** Chaos harness for the sharded service (the sharded sibling of
-    {!Net.Chaos}).
+(** Chaos harness for the sharded service, on the {!Net.Chaos} kernel.
 
-    Every shard runs its own {!Net.Nemesis} controller — same schedule,
-    shard-salted seed — under the [node → Rel → Nemesis → hub] stack; a
-    seeded Zipfian closed-loop workload routes writes through the ring;
-    [reconfig_at] rotates every shard's membership (drop the lowest
-    member, install a spare) through the shards' own logs mid-run.
-    Driving is sequential and deterministic: a run is a pure function of
-    the config.
+    Every shard runs its own kernel fault stack — a {!Net.Nemesis}
+    controller with the same schedule and seed [seed + s], under the
+    [node → Rel → Nemesis → hub] stack — and each round runs the
+    kernel's round on every shard in turn.  A seeded Zipfian closed-loop
+    workload routes writes through the ring; [reconfig_at] rotates every
+    shard's membership (drop the lowest member, install a spare) through
+    the shards' own logs mid-run.  Driving is sequential and
+    deterministic: a run is a pure function of the config.
 
-    Online invariants: per-shard log prefix consistency; the epoch
-    handoff (each replica's Σ quorum is of its own epoch, same-epoch
-    quorums of one shard intersect, different-epoch replicas have
-    different applied counts); a progress watchdog on healthy networks.
-    End-of-run: per-shard survivor logs identical, no command lost or
-    duplicated across the reconfiguration, the expected configuration
-    installed, and quiescent router reads return exactly the last
-    applied write per sampled key. *)
+    From the kernel: per-shard log prefix consistency, the progress
+    watchdog on healthy networks, per-shard identical survivor logs, and
+    the report tail.  This harness adds the epoch handoff (each
+    replica's Σ quorum is of its own epoch, same-epoch quorums of one
+    shard intersect, different-epoch replicas have different applied
+    counts), no command lost or duplicated across the reconfiguration,
+    the expected configuration installed, and quiescent router reads
+    returning exactly the last applied write per sampled key. *)
 
 type config = {
   shards : int;

@@ -34,26 +34,26 @@ let locked t f =
 let id t = t.id
 let universe t = t.universe
 
-let step t = locked t (fun () -> Net.Local.cluster_step t.cl)
-let step_one t p = locked t (fun () -> Net.Local.cluster_step_one t.cl p)
+let step t = locked t (fun () -> Net.Local.step t.cl)
+let step_one t p = locked t (fun () -> Net.Local.step_one t.cl p)
 
 let run t ~rounds =
-  locked t (fun () -> Net.Local.cluster_run t.cl ~rounds)
+  locked t (fun () -> Net.Local.run t.cl ~rounds)
 
-let submit t p c = locked t (fun () -> Net.Local.cluster_submit t.cl p c)
-let crash t p = locked t (fun () -> Net.Local.cluster_crash t.cl p)
+let submit t p c = locked t (fun () -> Net.Local.submit t.cl p c)
+let crash t p = locked t (fun () -> Net.Local.crash t.cl p)
 
 let crashed t p =
-  locked t (fun () -> Net.Loopback.crashed (Net.Local.cluster_hub t.cl) p)
+  locked t (fun () -> Net.Loopback.crashed (Net.Local.hub t.cl) p)
 
-let applied_log t p = locked t (fun () -> Net.Local.cluster_outputs t.cl p)
-let state t p = locked t (fun () -> Net.Local.cluster_state t.cl p)
-let now t p = locked t (fun () -> Net.Local.cluster_now t.cl p)
+let applied_log t p = locked t (fun () -> Net.Local.outputs t.cl p)
+let state t p = locked t (fun () -> Net.Local.state t.cl p)
+let now t p = locked t (fun () -> Net.Local.now t.cl p)
 
 (* -- helpers used by the router; single lock acquisition each -- *)
 
 let live_unlocked t =
-  let hub = Net.Local.cluster_hub t.cl in
+  let hub = Net.Local.hub t.cl in
   List.filter
     (fun p -> not (Net.Loopback.crashed hub p))
     (Sim.Pid.all t.universe)
@@ -66,19 +66,19 @@ let config t =
   locked t (fun () ->
       match
         live_unlocked t
-        |> List.map (fun p -> Replica.config (Net.Local.cluster_state t.cl p))
+        |> List.map (fun p -> Replica.config (Net.Local.state t.cl p))
         |> List.sort (fun a b -> compare b.Epoch.epoch a.Epoch.epoch)
       with
       | cfg :: _ -> cfg
-      | [] -> Replica.config (Net.Local.cluster_state t.cl 0))
+      | [] -> Replica.config (Net.Local.state t.cl 0))
 
 (* ABD-style sample of replica [p]: epoch, applied prefix length, and the
    tagged last write to [key].  None if [p] is crashed. *)
 let sample t p ~key =
   locked t (fun () ->
-      if Net.Loopback.crashed (Net.Local.cluster_hub t.cl) p then None
+      if Net.Loopback.crashed (Net.Local.hub t.cl) p then None
       else
-        let st = Net.Local.cluster_state t.cl p in
+        let st = Net.Local.state t.cl p in
         Some (Replica.epoch st, Replica.applied st, Replica.kv_find st key))
 
 (* Submit at the lowest live member of the current configuration (any
@@ -89,17 +89,17 @@ let submit_any t c =
         match
           live_unlocked t
           |> List.map (fun p ->
-                 Replica.config (Net.Local.cluster_state t.cl p))
+                 Replica.config (Net.Local.state t.cl p))
           |> List.sort (fun a b -> compare b.Epoch.epoch a.Epoch.epoch)
         with
         | cfg :: _ -> cfg
-        | [] -> Replica.config (Net.Local.cluster_state t.cl 0)
+        | [] -> Replica.config (Net.Local.state t.cl 0)
       in
       match
         List.filter (fun p -> Epoch.is_member cfg p) (live_unlocked t)
       with
       | p :: _ ->
-        Net.Local.cluster_submit t.cl p c;
+        Net.Local.submit t.cl p c;
         true
       | [] -> false)
 
@@ -108,7 +108,7 @@ let applied_min t =
       match
         live_unlocked t
         |> List.map (fun p ->
-               Replica.applied (Net.Local.cluster_state t.cl p))
+               Replica.applied (Net.Local.state t.cl p))
       with
       | [] -> 0
       | xs -> List.fold_left min max_int xs)
@@ -118,5 +118,5 @@ let applied_max t =
       live_unlocked t
       |> List.fold_left
            (fun acc p ->
-             max acc (Replica.applied (Net.Local.cluster_state t.cl p)))
+             max acc (Replica.applied (Net.Local.state t.cl p)))
            0)

@@ -117,7 +117,7 @@ let fingerprint ?(nemesis = false) ~seed ~rounds ~workload n =
     List.map Obs.Jsonl.event_line (Obs.Collector.events collector)
   in
   let logs =
-    List.map (fun p -> Net.Local.applied_log cluster p) (Sim.Pid.all n)
+    List.map (fun p -> Net.Local.outputs cluster p) (Sim.Pid.all n)
   in
   (events, Obs.Collector.metric_rows collector, logs)
 

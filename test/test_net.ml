@@ -271,7 +271,7 @@ let run_until ?(cap = 20_000) cluster pred =
   in
   go 0
 
-let applied_at cluster p = List.length (Net.Local.applied_log cluster p)
+let applied_at cluster p = List.length (Net.Local.outputs cluster p)
 
 let test_loopback_agreement () =
   let n = 3 in
@@ -282,7 +282,7 @@ let test_loopback_agreement () =
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
-  let logs = List.map (fun p -> log_view (Net.Local.applied_log cluster p)) (Sim.Pid.all n) in
+  let logs = List.map (fun p -> log_view (Net.Local.outputs cluster p)) (Sim.Pid.all n) in
   (match logs with
   | l0 :: rest ->
     List.iteri
@@ -315,8 +315,8 @@ let test_loopback_crash () =
   ignore
     (run_until cluster (fun () ->
          applied_at cluster 0 >= 4 && applied_at cluster 1 >= 4));
-  let l0 = log_view (Net.Local.applied_log cluster 0) in
-  let l1 = log_view (Net.Local.applied_log cluster 1) in
+  let l0 = log_view (Net.Local.outputs cluster 0) in
+  let l1 = log_view (Net.Local.outputs cluster 1) in
   Alcotest.(check bool) "surviving logs identical" true (l0 = l1);
   Alcotest.(check bool) "post-crash commands decided" true
     (List.exists (fun (_, _, _, p) -> p = "post0") l0
@@ -336,7 +336,7 @@ let test_loopback_pipelined_agreement () =
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
   let logs =
-    List.map (fun p -> log_view (Net.Local.applied_log cluster p)) (Sim.Pid.all n)
+    List.map (fun p -> log_view (Net.Local.outputs cluster p)) (Sim.Pid.all n)
   in
   let l0 = List.hd logs in
   List.iter
@@ -384,15 +384,15 @@ let test_loopback_batch_crash_boundary () =
          let applied p =
            List.map
              (fun (_, _, _, payload) -> payload)
-             (log_view (Net.Local.applied_log cluster p))
+             (log_view (Net.Local.outputs cluster p))
          in
          List.for_all
            (fun i ->
              List.mem (Printf.sprintf "post%02d" i) (applied 1)
              && List.mem (Printf.sprintf "post%02d" i) (applied 2))
            [ 0; 9 ]));
-  let l1 = log_view (Net.Local.applied_log cluster 1) in
-  let l2 = log_view (Net.Local.applied_log cluster 2) in
+  let l1 = log_view (Net.Local.outputs cluster 1) in
+  let l2 = log_view (Net.Local.outputs cluster 2) in
   Alcotest.(check bool) "survivor logs identical" true (l1 = l2);
   List.iteri
     (fun i (slot, _, _, _) ->
