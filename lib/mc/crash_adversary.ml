@@ -92,25 +92,12 @@ let search ?(max_crashes = 1) ?(horizon = 4) ?(stride = 2)
             steps := !steps + r.Harness.steps;
             match r.Harness.violation with
             | Some reason ->
-              let c =
-                {
-                  Harness.target = target.Harness.name;
-                  n;
-                  seed;
-                  schedule = Schedule.of_fp fp r.Harness.choices;
-                  reason;
-                  shrunk = false;
-                }
-              in
               found :=
                 Some
-                  (if not shrink then c
-                   else
-                     let violates s = Harness.violates ~seed target ~n s in
-                     let schedule, _ =
-                       Shrink.minimize ~violates c.Harness.schedule
-                     in
-                     { c with Harness.schedule; shrunk = true })
+                  (Harness.counterexample ~shrink
+                     ~violates:(Harness.violates ~seed target ~n)
+                     ~target:target.Harness.name ~n ~seed ~reason
+                     (Schedule.of_fp fp r.Harness.choices))
             | None -> ()
           done;
           complete := false

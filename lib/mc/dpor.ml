@@ -498,14 +498,10 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
         | Some reason ->
           found :=
             Some
-              {
-                Harness.target = target.Harness.name;
-                n;
-                seed;
-                schedule = Schedule.of_fp fp r.Harness.choices;
-                reason;
-                shrunk = false;
-              }
+              (Harness.counterexample ~shrink ~shrink_budget
+                 ~violates:(Harness.violates ~seed target ~n)
+                 ~target:target.Harness.name ~n ~seed ~reason
+                 (Schedule.of_fp fp r.Harness.choices))
         | None -> ());
         if !found = None then begin
           let choices = Array.of_list r.Harness.choices in
@@ -533,19 +529,8 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
         end
       end
   done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
-  in
   {
-    Exhaustive.counterexample;
+    Exhaustive.counterexample = !found;
     schedules = !schedules;
     pruned = !pruned;
     steps = !steps;

@@ -8,14 +8,7 @@ type report = {
   complete : bool;
 }
 
-let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
-    ?(shrink = true) ?(shrink_budget = 400) ?(seed = 1) target ~fp =
-  let prune_mod_time =
-    match prune_mod_time with
-    | Some b -> b
-    | None -> target.Harness.time_invariant_fd
-  in
-  let n = Sim.Failure_pattern.n fp in
+let dfs ~budget ~prune ~key ~counterexample run =
   let seen = Hashtbl.create 4096 in
   let stack = ref [ [] ] in
   let schedules = ref 0 in
@@ -46,67 +39,65 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
                 base.Sim.Scheduler.choose c);
           }
         in
-        let hook ~now ~digest ~steps:_ =
+        let hook ~clock ~digest =
           if (not prune) || !consumed < depth then true
           else begin
-            let digest = Lazy.force digest in
-            let key =
-              if prune_mod_time then digest else Hashtbl.hash (digest, now)
-            in
-            if Hashtbl.mem seen key then begin
+            let k = key ~clock (Lazy.force digest) in
+            if Hashtbl.mem seen k then begin
               incr pruned;
               false
             end
             else begin
-              Hashtbl.add seen key ();
+              Hashtbl.add seen k ();
               true
             end
           end
         in
-        let r = Harness.run ~seed target ~fp ~round_hook:hook sched in
-        steps := !steps + r.Harness.steps;
-        (match r.Harness.violation with
-        | Some reason ->
-          found :=
-            Some
-              {
-                Harness.target = target.Harness.name;
-                n;
-                seed;
-                schedule = Schedule.of_fp fp r.Harness.choices;
-                reason;
-                shrunk = false;
-              }
-        | None -> ());
-        if !found = None then begin
+        let choices, run_steps, violation = run sched ~hook in
+        steps := !steps + run_steps;
+        match violation with
+        | Some reason -> found := Some (reason, choices)
+        | None ->
           (* Enqueue the unexplored siblings of every choice point taken
              beyond the prefix (the prefix's own siblings were enqueued by
              the run that discovered it). *)
-          let seq = Array.of_list r.Harness.choices in
+          let seq = Array.of_list choices in
           let ars = Array.of_list (List.rev !arities) in
           for i = Array.length seq - 1 downto depth do
             for k = ars.(i) - 1 downto 1 do
               stack := (take_prefix seq i @ [ k ]) :: !stack
             done
           done
-        end
       end
   done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
-  in
   {
-    counterexample;
+    counterexample =
+      Option.map (fun (reason, choices) -> counterexample ~reason choices) !found;
     schedules = !schedules;
     pruned = !pruned;
     steps = !steps;
     complete = (not !out_of_budget) && !stack = [];
   }
+
+let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
+    ?(shrink = true) ?(shrink_budget = 400) ?(seed = 1) target ~fp =
+  let prune_mod_time =
+    Option.value prune_mod_time ~default:target.Harness.time_invariant_fd
+  in
+  let n = Sim.Failure_pattern.n fp in
+  dfs ~budget ~prune
+    ~key:
+      (if prune_mod_time then fun ~clock:_ digest -> digest
+       else fun ~clock digest -> Hashtbl.hash (digest, clock))
+    ~counterexample:(fun ~reason choices ->
+      Harness.counterexample ~shrink ~shrink_budget
+        ~violates:(Harness.violates ~seed target ~n)
+        ~target:target.Harness.name ~n ~seed ~reason
+        (Schedule.of_fp fp choices))
+    (fun sched ~hook ->
+      let r =
+        Harness.run ~seed target ~fp
+          ~round_hook:(fun ~now ~digest ~steps:_ -> hook ~clock:now ~digest)
+          sched
+      in
+      (r.Harness.choices, r.Harness.steps, r.Harness.violation))

@@ -23,6 +23,24 @@ type report = {
   complete : bool;  (** true iff the space was exhausted within budget *)
 }
 
+(** The DFS itself, shared with {!Net_harness.search}.  [run sched ~hook]
+    executes one run of the system under [sched], calling [hook ~clock
+    ~digest] after every round (the system's round counter or clock, and
+    its lazy state digest) and cutting the run when the hook returns
+    [false]; it returns the run's choice sequence, its step count and
+    its violation.  Once past the replayed prefix, a round whose
+    [key ~clock digest] was seen before is pruned ([prune]).  The first
+    violation becomes the report's [counterexample ~reason choices]. *)
+val dfs :
+  budget:int ->
+  prune:bool ->
+  key:(clock:int -> int -> int) ->
+  counterexample:(reason:string -> int list -> Harness.counterexample) ->
+  (Sim.Scheduler.t ->
+  hook:(clock:int -> digest:int Lazy.t -> bool) ->
+  int list * int * string option) ->
+  report
+
 val search :
   ?budget:int ->
   ?prune:bool ->

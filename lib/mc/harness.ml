@@ -167,6 +167,14 @@ type counterexample = {
   shrunk : bool;
 }
 
+let counterexample ?shrink_budget ~shrink ~violates ~target ~n ~seed ~reason
+    schedule =
+  let schedule =
+    if shrink then fst (Shrink.minimize ?budget:shrink_budget ~violates schedule)
+    else schedule
+  in
+  { target; n; seed; schedule; reason; shrunk = shrink }
+
 let pp_counterexample fmt c =
   Format.fprintf fmt
     "@[<v2>counterexample (%s, n=%d, seed=%d%s):@ reason: %s@ schedule: %a@]"

@@ -142,6 +142,22 @@ type counterexample = {
   shrunk : bool;
 }
 
+(** [counterexample ~shrink ~violates ~target ~n ~seed ~reason schedule]:
+    the counterexample every explorer reports for a violating
+    [schedule].  With [shrink], the schedule is first minimized by
+    {!Shrink.minimize} (at most [shrink_budget] replays, default 400)
+    against [violates], and [shrunk] is set. *)
+val counterexample :
+  ?shrink_budget:int ->
+  shrink:bool ->
+  violates:(Schedule.t -> bool) ->
+  target:string ->
+  n:int ->
+  seed:int ->
+  reason:string ->
+  Schedule.t ->
+  counterexample
+
 val pp_counterexample : Format.formatter -> counterexample -> unit
 
 (** Render a list of output events (exposed for CLI / example programs). *)

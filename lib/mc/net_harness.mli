@@ -1,7 +1,7 @@
 (** Model-checking the production network stack: real {!Net.Node} main
     loops (codec, envelopes, optional {!Net.Rel} ARQ) over the
-    deterministic {!Net.Det} hub, explored with the same DFS +
-    visited-digest machinery as {!Exhaustive}.
+    deterministic {!Net.Det} hub, explored by the same DFS +
+    visited-digest loop as {!Exhaustive} ({!Exhaustive.dfs}).
 
     A run proceeds in rounds that mirror the engine's atomic-step
     semantics: scripted {!fault}s and inputs apply at the round
@@ -104,7 +104,7 @@ val replay :
 (** Does replaying [schedule] still violate the invariant? *)
 val violates : ('st, 'msg, 'inp, 'out) target -> Schedule.t -> bool
 
-(** Exhaustive DFS over the target's delivery interleavings, with
+(** {!Exhaustive.dfs} over the target's delivery interleavings, with
     visited-digest pruning (keyed on [(digest, round)] — fault/input
     scripts are round-indexed, so states only merge at equal rounds),
     schedule [budget], and counterexample shrinking via

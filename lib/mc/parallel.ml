@@ -153,21 +153,10 @@ let clamp_domains requested =
   max 1 (min (min requested 64) (Domain.recommended_domain_count ()))
 
 let mk_cex ~(o : Harness.opts) ~fp target ~n reason choices =
-  let c =
-    {
-      Harness.target = target.Harness.name;
-      n;
-      seed = o.seed;
-      schedule = Schedule.of_fp fp choices;
-      reason;
-      shrunk = false;
-    }
-  in
-  if not o.shrink then c
-  else
-    let violates s = Harness.violates ~seed:o.seed target ~n s in
-    let schedule, _ = Shrink.minimize ~violates c.Harness.schedule in
-    { c with Harness.schedule; shrunk = true }
+  Harness.counterexample ~shrink:o.shrink
+    ~violates:(Harness.violates ~seed:o.seed target ~n)
+    ~target:target.Harness.name ~n ~seed:o.seed ~reason
+    (Schedule.of_fp fp choices)
 
 let search_ordered ~(o : Harness.opts) ~fps target ~n =
   let d = Option.value o.d ~default:3 in

@@ -74,25 +74,10 @@ let search ?(budget = 1_000) ?(d = 3) ?horizon ?(shrink = true)
     | Some reason ->
       found :=
         Some
-          {
-            Harness.target = target.Harness.name;
-            n;
-            seed;
-            schedule = Schedule.of_fp fp r.Harness.choices;
-            reason;
-            shrunk = false;
-          }
+          (Harness.counterexample ~shrink ~shrink_budget
+             ~violates:(Harness.violates ~seed target ~n)
+             ~target:target.Harness.name ~n ~seed ~reason
+             (Schedule.of_fp fp r.Harness.choices))
     | None -> ()
   done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
-  in
-  { counterexample; schedules = !schedules; steps = !steps }
+  { counterexample = !found; schedules = !schedules; steps = !steps }
