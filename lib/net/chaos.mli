@@ -26,7 +26,7 @@
       form a majority, otherwise liveness is forfeit by the model.
 
     The loop and the checks that are not SMR-specific form the {e chaos
-    kernel} below, which {!Shard.Chaos} and {!Ec.Chaos} drive too: the
+    kernel} below, which [Shard.Chaos] and [Ec.Chaos] drive too: the
     fault stack, one round, the failure list, the pairwise prefix check,
     the progress watchdog, heal tracking, the survivor checks and the
     report tail.  Each harness adds only its own workload and

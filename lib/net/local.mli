@@ -7,13 +7,13 @@
     SIGKILL: its frames stop, its steps stop, and the survivors' detectors
     notice by missing heartbeats.
 
-    The driver is generic: {!make} runs {e any} [Sim.Protocol.t] — it is
-    what lets [Shard.Group] host many independent replica groups (one hub
-    per shard) without duplicating the driver.  {!create} is the SMR
-    instantiation used by the demo, the chaos harness and the benches;
-    every operation below works on both. *)
+    The cluster is generic: {!make} runs {e any} [Sim.Protocol.t] — it
+    is what lets [Shard.Group] host many independent replica groups (one
+    hub per shard) without a second copy of this code.  {!create} is the
+    SMR instantiation used by the demo, the chaos harness and the
+    benches; every operation below works on both. *)
 
-(** {2 The driver} *)
+(** {2 Any protocol} *)
 
 type ('st, 'msg, 'inp, 'out) cluster
 
