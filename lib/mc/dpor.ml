@@ -73,8 +73,6 @@
    already covers collapses onto the explored path and is never
    re-entered. *)
 
-let take_prefix arr i = Array.to_list (Array.sub arr 0 i)
-
 (* ---- per-run instrumentation log ----------------------------------- *)
 
 type entry =
@@ -519,7 +517,7 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
           List.iter
             (fun (g, alt) ->
               if g < Array.length choices then begin
-                let p = canonical (take_prefix choices g @ [ alt ]) in
+                let p = canonical (Schedule.take_prefix choices g @ [ alt ]) in
                 if not (Schedule.Prefix_tbl.mem explored p) then begin
                   Schedule.Prefix_tbl.add explored p ();
                   stack := p :: !stack

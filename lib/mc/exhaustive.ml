@@ -1,5 +1,3 @@
-let take_prefix arr i = Array.to_list (Array.sub arr 0 i)
-
 type report = {
   counterexample : Harness.counterexample option;
   schedules : int;
@@ -65,7 +63,7 @@ let dfs ~budget ~prune ~key ~counterexample run =
           let ars = Array.of_list (List.rev !arities) in
           for i = Array.length seq - 1 downto depth do
             for k = ars.(i) - 1 downto 1 do
-              stack := (take_prefix seq i @ [ k ]) :: !stack
+              stack := (Schedule.take_prefix seq i @ [ k ]) :: !stack
             done
           done
       end

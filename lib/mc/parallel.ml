@@ -140,7 +140,6 @@ type result_msg =
   | R_job_done of int * work
 
 let salt ~pat key = Hashtbl.hash (pat, key)
-let take_prefix choices i = Array.to_list (Array.sub choices 0 i)
 
 (* Worker-side local BFS mirrors the coordinator's expansion rule: every
    non-root sibling of every choice point up to the cut. *)
@@ -282,7 +281,7 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
     let acc = ref [] in
     for i = depth to upto - 1 do
       for alt = 1 to spec.sp_arities.(i) - 1 do
-        acc := (take_prefix seq i @ [ alt ]) :: !acc
+        acc := (Schedule.take_prefix seq i @ [ alt ]) :: !acc
       done
     done;
     List.rev !acc
@@ -774,7 +773,8 @@ let search_unordered ~(o : Harness.opts) ~fps target ~n =
                   for i = depth to upto - 1 do
                     for alt = 1 to arities.(i) - 1 do
                       batch :=
-                        U_prefix (pat, take_prefix seq i @ [ alt ]) :: !batch
+                        U_prefix (pat, Schedule.take_prefix seq i @ [ alt ])
+                        :: !batch
                     done
                   done;
                   if !batch <> [] then begin

@@ -21,6 +21,8 @@ let fp ~n t = Sim.Failure_pattern.make ~n t.crashes
 
 let length t = List.length t.choices
 
+let take_prefix choices i = Array.to_list (Array.sub choices 0 i)
+
 let to_string t =
   let crashes =
     String.concat ","

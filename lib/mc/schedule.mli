@@ -24,6 +24,11 @@ val fp : n:int -> t -> Sim.Failure_pattern.t
 (** Number of recorded choices. *)
 val length : t -> int
 
+(** [take_prefix choices i] is the first [i] recorded choices of a run, as
+    a prefix to extend with a sibling choice; the explorers' one way of
+    cutting a run's choice array. *)
+val take_prefix : int array -> int -> int list
+
 (** Round-trippable textual form, e.g. ["crashes=0@3;choices=1,0,2"]. *)
 val to_string : t -> string
 

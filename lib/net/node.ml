@@ -139,7 +139,12 @@ let step ?(timeout_ms = 0) t =
     | None -> None
     | Some (_, frame) -> (
       match Wire.decode_envelope_with t.codec frame with
-      | exception _ -> None (* corrupt frame: drop, as the net would *)
+      | exception Wire.Decode_error _ ->
+        (* corrupt frame: drop, as the net would *)
+        (match t.metrics with
+        | Some m -> Obs.Metrics.incr m "net.decode_errors"
+        | None -> ());
+        None
       | env ->
         busy := true;
         (match env.Wire.env_vc with

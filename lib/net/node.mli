@@ -25,8 +25,10 @@ type ('st, 'msg, 'inp, 'out) t
     envelope overhead, so off by default).  [codec] fixes the wire
     representation of ['msg] (default {!Wire.marshal_codec}); envelopes
     are encoded into one reused scratch buffer, broadcasts encode once
-    per fan-out, and a frame the codec rejects is dropped like any
-    corrupt frame.  [metrics] with [classify] counts delivered frames
+    per fan-out, and a frame the codec rejects ({!Wire.Decode_error}) is
+    dropped like any corrupt frame and, with [metrics], counted as
+    [net.decode_errors]; any other exception is a bug and propagates.
+    [metrics] with [classify] counts delivered frames
     into the [fd.frames{detector=...}] labeled counters: every delivered
     message [classify] maps to [Some lbl] bumps the series for [lbl]
     (hosts pass {!Smr_node.classify}), so harnesses read detector

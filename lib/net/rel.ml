@@ -17,6 +17,9 @@ let ack_frame seq = frame_of 'A' seq Bytes.empty
 type send_state = {
   mutable next_seq : int;
   unacked : (int * bytes) Queue.t;  (* seq, full frame; ascending *)
+  mutable acked : bool;  (* cumulative ack advanced since the last scan *)
+  mutable mark : int;  (* [next_seq] at the last scan *)
+  mutable mark2 : int;  (* [next_seq] at the scan before that *)
 }
 
 module Int_map = Map.Make (Int)
@@ -62,25 +65,39 @@ let bump ?(by = 1) t name =
 
 (* Resend the oldest unacknowledged frames of every peer.  The per-peer
    burst is capped: in-order delivery means the front of the queue is what
-   unblocks the receiver. *)
+   unblocks the receiver, and the walk stops at the cap (a crashed peer's
+   queue grows without bound).
+
+   The retransmission timer restarts on ack progress (RFC 6298 §5.3): a
+   peer whose cumulative ack advanced since the last scan, and whose
+   oldest unacked frame was first sent after the scan before that (so it
+   is at most two intervals old), is skipped — its frames are in flight,
+   not lost.  A lost frame stops the ack at the gap: it is resent at the
+   first scan where the ack did not advance, and at the third scan after
+   its first send at the latest. *)
 let resend_cap = 64
 
 let resend_scan t =
   Array.iteri
     (fun dst (s : send_state) ->
       if dst <> t.inner.Transport.self then begin
-        let k = ref 0 in
-        Queue.iter
-          (fun (_, frame) ->
-            if !k < resend_cap then begin
-              incr k;
-              t.inner.Transport.send dst frame
-            end)
-          s.unacked;
-        if !k > 0 then begin
+        (match Queue.peek_opt s.unacked with
+        | Some (oldest, _) when not (s.acked && oldest >= s.mark2) ->
+          let k = ref 0 in
+          (try
+             Queue.iter
+               (fun (_, frame) ->
+                 if !k = resend_cap then raise_notrace Exit;
+                 incr k;
+                 t.inner.Transport.send dst frame)
+               s.unacked
+           with Exit -> ());
           t.retransmits <- t.retransmits + !k;
           bump ~by:!k t "net.retransmits"
-        end
+        | _ -> ());
+        s.acked <- false;
+        s.mark2 <- s.mark;
+        s.mark <- s.next_seq
       end)
     t.out
 
@@ -90,6 +107,7 @@ let handle_ack t src seq =
     match Queue.peek_opt s.unacked with
     | Some (sq, _) when sq <= seq ->
       ignore (Queue.pop s.unacked);
+      s.acked <- true;
       drop ()
     | _ -> ()
   in
@@ -131,8 +149,10 @@ let handle_data t src seq payload =
     send_ack t src
   end
 
+(* A frame shorter than the header or with an unknown tag is dropped and
+   counted: it can only come from a peer that does not speak this layer. *)
 let process t src frame =
-  if Bytes.length frame < header_len then ()
+  if Bytes.length frame < header_len then bump t "net.rel_malformed"
   else
     let seq = Int64.to_int (Bytes.get_int64_be frame 1) in
     let payload () =
@@ -141,7 +161,7 @@ let process t src frame =
     match Bytes.get frame 0 with
     | 'A' -> handle_ack t src seq
     | 'D' -> handle_data t src seq (payload ())
-    | _ -> ()
+    | _ -> bump t "net.rel_malformed"
 
 let wrap ?(resend_every = 64) ?metrics (inner : Transport.t) =
   {
@@ -150,7 +170,13 @@ let wrap ?(resend_every = 64) ?metrics (inner : Transport.t) =
     metrics;
     out =
       Array.init inner.Transport.n (fun _ ->
-          { next_seq = 0; unacked = Queue.create () });
+          {
+            next_seq = 0;
+            unacked = Queue.create ();
+            acked = false;
+            mark = 0;
+            mark2 = 0;
+          });
     inbox =
       Array.init inner.Transport.n (fun _ ->
           { next_expect = 0; ooo = Int_map.empty });
@@ -206,17 +232,28 @@ let transport t =
   }
 
 (* Deep digest of the ARQ state machine, for model-checking visited-state
-   pruning: send cursors + unacked frames, delivery cursors + reorder
-   buffers, the ready queue, and the poll counter (it clocks the resend
-   scan, so it is behaviourally relevant state). *)
+   pruning: send cursors + unacked frames + resend-timer state, delivery
+   cursors + reorder buffers, the ready queue, and the poll counter (it
+   clocks the resend scan, so it is behaviourally relevant state).  A scan
+   mark matters only against the oldest unacked frame, which can never
+   fall below the first unacked seq: marks are clamped there and taken
+   relative to [next_seq], so states that differ only in marks the future
+   cannot tell apart still merge. *)
 let digest t =
   let project =
     ( Array.map
         (fun (s : send_state) ->
+          let lo =
+            match Queue.peek_opt s.unacked with
+            | Some (sq, _) -> sq
+            | None -> s.next_seq
+          in
+          let rel m = s.next_seq - max m lo in
           ( s.next_seq,
             List.map
               (fun (sq, f) -> (sq, Bytes.to_string f))
-              (List.of_seq (Queue.to_seq s.unacked)) ))
+              (List.of_seq (Queue.to_seq s.unacked)),
+            (s.acked, rel s.mark, rel s.mark2) ))
         t.out,
       Array.map
         (fun (r : recv_state) ->

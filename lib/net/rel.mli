@@ -14,8 +14,13 @@
     - the receiver delivers in sequence order exactly once (duplicates are
       filtered, out-of-order frames buffered) and acknowledges
       cumulatively;
-    - the sender retransmits unacknowledged frames periodically, clocked
-      by its own [poll] calls (one per node step), until acknowledged.
+    - the sender retransmits unacknowledged frames until acknowledged, at
+      a scan every [resend_every] of its own [poll] calls (one per node
+      step).  The timer restarts on ack progress (RFC 6298 §5.3): a scan
+      skips a peer whose cumulative ack advanced since the previous scan
+      while its oldest unacked frame is at most two intervals old, so
+      frames merely in flight are not resent; a lost frame stalls the ack
+      and is resent by the third scan after its first send.
 
     Acknowledgements themselves travel through the wrapped transport, so
     the adversary can drop or delay them too — retransmission covers both
@@ -35,7 +40,8 @@ type t
 (** [wrap ?resend_every ?metrics inner] — retransmission scan runs every
     [resend_every] polls (default 64; lower = chattier, faster recovery).
     [metrics] receives [net.retransmits] / [net.dup_filtered] /
-    [net.resequenced] counters. *)
+    [net.resequenced] counters, and [net.rel_malformed] for received
+    frames shorter than the header or with an unknown tag (dropped). *)
 val wrap : ?resend_every:int -> ?metrics:Obs.Metrics.t -> Transport.t -> t
 
 val transport : t -> Transport.t
@@ -50,5 +56,6 @@ type stats = {
 val stats : t -> stats
 
 (** Deep digest of the layer's state (cursors, unacked frames, reorder
-    buffers, resend clock), for model-checking visited-state pruning. *)
+    buffers, resend clock and ack-progress marks), for model-checking
+    visited-state pruning. *)
 val digest : t -> int

@@ -248,7 +248,7 @@ let marshal_codec () =
     dec =
       (fun b ~pos ~len:_ ->
         try Marshal.from_bytes b pos
-        with Failure m -> fail "marshal: %s" m);
+        with Failure m | Invalid_argument m -> fail "marshal: %s" m);
   }
 
 let to_bytes c v =

@@ -138,7 +138,10 @@ val bytes_c : bytes codec
 
 (** The Marshal compatibility codec.  Untyped on decode (annotate call
     sites) and same-binary only — keep it for debugging, handshakes and
-    cold paths; use binary codecs on hot paths. *)
+    cold paths; use binary codecs on hot paths.  A frame Marshal rejects
+    (bad header, truncation) raises {!Decode_error} like any other codec;
+    Marshal checks nothing beyond its header, so a well-framed value of
+    the wrong type is not caught. *)
 val marshal_codec : unit -> 'a codec
 
 (** One-shot conveniences (allocate a scratch buffer per call). *)

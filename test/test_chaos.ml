@@ -335,8 +335,8 @@ applied     12 12 12
 logs        identical
 completion  all applied
 heal @900    leader re-agreed in 6 rounds
-nemesis     dropped 11473, duplicated 0, reordered 0, delayed 0
-rel         29426 retransmits
+nemesis     dropped 11457, duplicated 0, reordered 0, delayed 0
+rel         26303 retransmits
 invariants  all held
 |} );
     ( "net kill",
@@ -347,7 +347,7 @@ applied     12 12 5
 logs        identical
 completion  all applied
 nemesis     dropped 0, duplicated 0, reordered 0, delayed 0
-rel         40572 retransmits
+rel         38329 retransmits
 invariants  all held
 |} );
     ( "net skew",
@@ -358,7 +358,7 @@ applied     12 12 12
 logs        identical
 completion  all applied
 nemesis     dropped 0, duplicated 0, reordered 0, delayed 0
-rel         47586 retransmits
+rel         46265 retransmits
 invariants  all held
 |} );
     ( "net drop",
@@ -368,8 +368,8 @@ submitted   12
 applied     12 12 12
 logs        identical
 completion  all applied
-nemesis     dropped 988, duplicated 0, reordered 0, delayed 0
-rel         5079 retransmits
+nemesis     dropped 633, duplicated 0, reordered 0, delayed 0
+rel         1772 retransmits
 invariants  all held
 |} );
     ( "net ring detector",
@@ -382,7 +382,7 @@ logs        identical
 completion  all applied
 heal @900    leader re-agreed in 77 rounds
 nemesis     dropped 3549, duplicated 0, reordered 0, delayed 0
-rel         5023 retransmits
+rel         4934 retransmits
 invariants  all held
 |} );
     ( "net tight bounds",
@@ -396,8 +396,8 @@ logs        identical
 completion  all applied
 heal @600    leader NOT re-agreed in bound
 heal @2498    leader re-agreed in 0 rounds
-nemesis     dropped 4411, duplicated 0, reordered 0, delayed 0
-rel         20299 retransmits
+nemesis     dropped 4393, duplicated 0, reordered 0, delayed 0
+rel         17162 retransmits
 FAILED      heal at round 600: no single live leader within 3 rounds
 FAILED      round 750: no progress for 150 rounds on a healthy network
 |} );
@@ -412,8 +412,8 @@ reads       8 ok, 0 bad
 logs        identical per shard
 completion  all applied
 duplicates  none
-nemesis     dropped 51012, duplicated 0, reordered 0, delayed 0
-rel         135087 retransmits
+nemesis     dropped 50862, duplicated 0, reordered 0, delayed 0
+rel         112528 retransmits
 invariants  all held
 |} );
     ( "shard tight watchdog",
@@ -427,8 +427,8 @@ reads       8 ok, 0 bad
 logs        identical per shard
 completion  all applied
 duplicates  none
-nemesis     dropped 51012, duplicated 0, reordered 0, delayed 0
-rel         135087 retransmits
+nemesis     dropped 50862, duplicated 0, reordered 0, delayed 0
+rel         112528 retransmits
 FAILED      round 61: no progress for 60 rounds on a healthy network
 FAILED      round 214: no progress for 60 rounds on a healthy network
 FAILED      round 760: no progress for 60 rounds on a healthy network
@@ -445,8 +445,8 @@ converged   in 454 rounds after last write
 heal @1600    EC leader re-agreed in 1 rounds
 logs        identical
 completion  all applied
-nemesis     dropped 52341, duplicated 0, reordered 0, delayed 0
-rel         100063 retransmits
+nemesis     dropped 52310, duplicated 0, reordered 0, delayed 0
+rel         96401 retransmits
 invariants  all held
 |} );
     ( "ec tight bounds",
@@ -458,8 +458,8 @@ converged   NOT within bound
 heal @1600    EC leader re-agreed in 1 rounds
 logs        identical
 completion  all applied
-nemesis     dropped 52341, duplicated 0, reordered 0, delayed 0
-rel         100063 retransmits
+nemesis     dropped 52310, duplicated 0, reordered 0, delayed 0
+rel         96401 retransmits
 FAILED      round 1805: no SMR progress for 200 rounds on a healthy network
 FAILED      stores not converged within 300 rounds of the last write
 FAILED      round 2006: no SMR progress for 200 rounds on a healthy network

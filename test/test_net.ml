@@ -196,6 +196,72 @@ let prop_pmsg_codec_roundtrip =
   QCheck.Test.make ~name:"codecs: full node message round-trips" ~count:500
     gen (fun m -> Net.Wire.of_bytes codec (Net.Wire.to_bytes codec m) = m)
 
+(* A node fed corrupt frames drops them with a typed [Decode_error] and,
+   when [metrics] is set, counts each in [net.decode_errors]; a good
+   frame afterwards is still delivered.  Run under the binary pmsg codec
+   and the Marshal codec (truncation raises [Invalid_argument] inside
+   Marshal, garbage [Failure]: both must surface as [Decode_error]). *)
+let decode_drops (type m) ~(codec : m Net.Wire.codec) (good : m) garbage =
+  let hub = Net.Loopback.create ~n:2 in
+  let raw = Net.Loopback.endpoint hub 0 in
+  let echo : (unit, m, unit, unit, m) Sim.Protocol.t =
+    {
+      init = (fun ~n:_ _ -> ());
+      on_step =
+        (fun _ () recv ->
+          match recv with
+          | Some (_, m) -> ((), [ Sim.Protocol.Output m ])
+          | None -> ((), []));
+      on_input = Sim.Protocol.no_input;
+    }
+  in
+  let run metrics =
+    let node =
+      Net.Node.create ~codec ?metrics
+        ~transport:(Net.Loopback.endpoint hub 1) echo
+    in
+    let frame =
+      encode_env codec
+        { Net.Wire.env_src = 0; env_sent_at = 0; env_vc = None;
+          env_msg = good }
+    in
+    let bad =
+      List.init (Bytes.length frame) (fun cut -> Bytes.sub frame 0 cut)
+      @ List.map Bytes.of_string garbage
+    in
+    List.iter (raw.Net.Transport.send 1) bad;
+    raw.Net.Transport.send 1 frame;
+    List.iter (fun _ -> ignore (Net.Node.step node)) bad;
+    Alcotest.(check int) "corrupt frames deliver nothing" 0
+      (List.length (Net.Node.drain_outputs node));
+    ignore (Net.Node.step node);
+    Alcotest.(check bool) "a good frame still gets through" true
+      (Net.Node.drain_outputs node = [ good ]);
+    List.length bad
+  in
+  let m = Obs.Metrics.create () in
+  let bad = run (Some m) in
+  Alcotest.(check int) "every drop counted" bad
+    (Obs.Metrics.counter m "net.decode_errors");
+  ignore (run None)
+
+let test_node_decode_drops_pmsg () =
+  let good =
+    Sim.Layered.Main (Cons.Smr.Submit [ string_cmd "pay" 0 1 ])
+  in
+  decode_drops ~codec:(Net.Codecs.pmsg Net.Wire.string_c) good
+    [ "\x07"; "\x01\x00\x00\x00\x09"; "\x01\x00\x00\x00\x00\x00\xff" ]
+
+let test_node_decode_drops_marshal () =
+  (match
+     Net.Wire.of_bytes (Net.Wire.marshal_codec ())
+       (Bytes.sub (Net.Wire.encode ("abc", 1)) 0 10)
+   with
+  | (_ : string * int) -> Alcotest.fail "truncated Marshal frame accepted"
+  | exception Net.Wire.Decode_error _ -> ());
+  decode_drops ~codec:(Net.Wire.marshal_codec ()) ("x", 3)
+    [ "\x01\x00\x00\x00not a marshal header at all" ]
+
 let test_hello () =
   (match Net.Wire.parse_hello (Net.Wire.hello ~self:3) with
   | Ok p -> Alcotest.(check int) "hello names the sender" 3 p
@@ -775,6 +841,96 @@ let test_det_reorder_resequenced_and_replayed () =
   Alcotest.(check int) "replayed seed reproduces the resequencing" reseq
     reseq'
 
+(* ------------------------------------------------------------------ *)
+(* Rel over the loopback hub                                           *)
+
+(* [Net.Rel] pair on a lossless loopback hub; [drop] sees every frame
+   p0 hands the hub and returns [true] to lose it. *)
+let rel_pair ?metrics ?(drop = fun _ -> false) ~resend_every () =
+  let hub = Net.Loopback.create ~n:2 in
+  let raw0 = Net.Loopback.endpoint hub 0 in
+  let lossy =
+    { raw0 with
+      Net.Transport.send =
+        (fun dst f -> if not (drop f) then raw0.Net.Transport.send dst f) }
+  in
+  let r0 = Net.Rel.wrap ~resend_every lossy in
+  let r1 = Net.Rel.wrap ~resend_every ?metrics (Net.Loopback.endpoint hub 1) in
+  (raw0, r0, r1)
+
+(* Stream the payloads 1..[total] from p0 to p1, one send per round,
+   each side polling once a round as a node steps, and run
+   3 * [resend_every] rounds past the last send.  Returns p0's Rel and
+   the deliveries as (payload, round). *)
+let rel_stream ?drop ~resend_every ~total () =
+  let _, r0, r1 = rel_pair ?drop ~resend_every () in
+  let t0 = Net.Rel.transport r0 and t1 = Net.Rel.transport r1 in
+  let got = ref [] in
+  for i = 1 to total + (3 * resend_every) do
+    if i <= total then
+      t0.Net.Transport.send 1 (Bytes.of_string (string_of_int i));
+    ignore (t0.Net.Transport.poll ~timeout_ms:0);
+    match t1.Net.Transport.poll ~timeout_ms:0 with
+    | Some (_, b) -> got := (int_of_string (Bytes.to_string b), i) :: !got
+    | None -> ()
+  done;
+  (r0, List.rev !got)
+
+(* Acks keep advancing on a lossless link, so every scan finds only
+   frames in flight and nothing is resent. *)
+let test_rel_lossless_stream_no_retransmits () =
+  let total = 400 in
+  let r0, got = rel_stream ~resend_every:8 ~total () in
+  Alcotest.(check (list int)) "stream delivered in order"
+    (List.init total (fun i -> i + 1)) (List.map fst got);
+  Alcotest.(check int) "no retransmission on a lossless link" 0
+    (Net.Rel.stats r0).Net.Rel.retransmits
+
+(* One data frame of that stream is lost on its first send.  The ack
+   stalls at the gap, so the skip rule stops holding and the frame is
+   resent and delivered within 2 * resend_every polls of its send.  Each
+   of the [resend_every] drop positions meets the scan clock at a
+   different phase. *)
+let test_rel_lost_frame_resent () =
+  let every = 8 and total = 200 in
+  for lost = 100 to 100 + every - 1 do
+    let dropped = ref false in
+    let drop f =
+      let hit =
+        (not !dropped)
+        && Bytes.get f 0 = 'D'
+        && Int64.to_int (Bytes.get_int64_be f 1) = lost - 1
+      in
+      if hit then dropped := true;
+      hit
+    in
+    let r0, got = rel_stream ~drop ~resend_every:every ~total () in
+    Alcotest.(check bool) "the frame was lost" true !dropped;
+    Alcotest.(check (list int)) "stream delivered in order, exactly once"
+      (List.init total (fun i -> i + 1)) (List.map fst got);
+    let delay = List.assoc lost got - lost in
+    Alcotest.(check bool)
+      (Printf.sprintf "frame %d delivered %d polls after its send" lost delay)
+      true
+      (delay <= (2 * every) + 2);
+    Alcotest.(check bool) "recovered by retransmission" true
+      ((Net.Rel.stats r0).Net.Rel.retransmits >= 1)
+  done
+
+(* Frames shorter than the header, or with an unknown tag, are dropped
+   and counted as [net.rel_malformed]; the link keeps working. *)
+let test_rel_malformed_counted () =
+  let m = Obs.Metrics.create () in
+  let raw0, r0, r1 = rel_pair ~metrics:m ~resend_every:8 () in
+  let t0 = Net.Rel.transport r0 and t1 = Net.Rel.transport r1 in
+  raw0.Net.Transport.send 1 (Bytes.of_string "D\x00");
+  raw0.Net.Transport.send 1 (Bytes.of_string "X\x00\x00\x00\x00\x00\x00\x00\x00tail");
+  t0.Net.Transport.send 1 (Bytes.of_string "ok");
+  Alcotest.check deliveries "the good frame behind them is delivered"
+    [ (0, "ok") ] (drain_rel t1);
+  Alcotest.(check int) "short and unknown-tag frames counted" 2
+    (Obs.Metrics.counter m "net.rel_malformed")
+
 let () =
   Alcotest.run "net"
     [
@@ -789,6 +945,10 @@ let () =
           Alcotest.test_case "envelope: truncation refused" `Quick
             test_envelope_truncation_rejected;
           Alcotest.test_case "hello" `Quick test_hello;
+          Alcotest.test_case "node drops corrupt pmsg frames, counted" `Quick
+            test_node_decode_drops_pmsg;
+          Alcotest.test_case "node drops corrupt Marshal frames, counted"
+            `Quick test_node_decode_drops_marshal;
           Alcotest.test_case "oversized frames refused at the header" `Quick
             test_decoder_frame_cap;
           QCheck_alcotest.to_alcotest prop_decoder_roundtrip;
@@ -835,6 +995,15 @@ let () =
             test_det_resend_races_blocked_original;
           Alcotest.test_case "reorder resequenced; seed replays" `Quick
             test_det_reorder_resequenced_and_replayed;
+        ] );
+      ( "rel-arq",
+        [
+          Alcotest.test_case "lossless stream: no retransmits" `Quick
+            test_rel_lossless_stream_no_retransmits;
+          Alcotest.test_case "lost frame resent within two intervals" `Quick
+            test_rel_lost_frame_resent;
+          Alcotest.test_case "malformed frames dropped, counted" `Quick
+            test_rel_malformed_counted;
         ] );
       ( "tcp",
         [
