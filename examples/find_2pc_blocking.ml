@@ -21,8 +21,9 @@ let () =
     n;
   let target = Mc.Targets.two_phase_commit ~n in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:100_000 target ~n
+    Mc.Parallel.search
+      ~opts:{ Mc.Harness.default_opts with budget = 100_000 }
+      target ~n
   in
   Format.printf
     "explored %d failure patterns, %d schedules (%d process steps)@.@."

@@ -499,7 +499,6 @@ type mc_opts = Mc.Harness.opts = {
   d : int option;
   shrink : bool;
   seed : int;
-  ordered : bool;
 }
 
 let mc_default_opts = Mc.Harness.default_opts
@@ -537,11 +536,12 @@ let summarize name (opts : Mc.Harness.opts) (r : Mc.Crash_adversary.report) =
     counterexample = r.Mc.Crash_adversary.counterexample;
   }
 
-(* Tracing an exploration must not instrument the parallel explorer (its
-   speculative runs would race on the collector and break the bit-identical
-   summary contract), so [--trace] records the search summary plus — when a
-   counterexample was found — the fully deterministic replay of its
-   schedule, events and all. *)
+(* Tracing an exploration must not instrument the search (runs on the
+   domain pool would race on the collector, and a chunk's runs go past
+   their exact cuts, so the record would depend on the domain count), so
+   [--trace] records the search summary plus — when a counterexample was
+   found — the fully deterministic replay of its schedule, events and
+   all. *)
 let write_mc_trace path name ~n ~(opts : Mc.Harness.opts) (s : mc_summary) =
   let obs = Obs.Collector.create () in
   (match s.counterexample with

@@ -129,9 +129,9 @@ val run_psi_extraction :
     The search knobs live in a single {!Mc.Harness.opts} record
     (re-exported here as {!mc_opts} so the [mc] executable — whose own
     compilation unit shadows the [Mc] library module — never needs the
-    [Mc] path).  All domain counts, including 1, run through the
-    deterministic parallel explorer {!Mc.Parallel}: the summary is
-    bit-identical whatever [opts.domains] is. *)
+    [Mc] path).  Every search runs through {!Mc.Parallel}, whose
+    chunks are adjudicated in order on the calling domain: the summary
+    is bit-identical whatever [opts.domains] is. *)
 
 (** Inner schedule explorer of the [Mc] subsystem. *)
 type mc_explorer = Mc.Harness.explorer
@@ -150,7 +150,6 @@ type mc_opts = Mc.Harness.opts = {
   d : int option;
   shrink : bool;
   seed : int;
-  ordered : bool;
 }
 
 (** {!Mc.Harness.default_opts}. *)
@@ -180,9 +179,10 @@ val pp_mc_summary : Format.formatter -> mc_summary -> unit
     [?trace] writes a JSONL observability record to the given path: the
     search summary as metadata plus, when a counterexample was found, the
     event trace of its deterministic replay.  The search itself is never
-    instrumented — speculative parallel runs would race on a collector —
-    so the summary (and the trace file minus its profile record) is
-    bit-identical across domain counts. *)
+    instrumented — runs on the domain pool would race on a collector, and
+    runs past their exact cut would be recorded — so the summary (and the
+    trace file minus its profile record) is bit-identical across domain
+    counts. *)
 val model_check :
   ?opts:mc_opts -> ?trace:string -> string -> n:int -> (mc_summary, string) result
 

@@ -1,15 +1,14 @@
-(** Crash-injection adversary: search over failure patterns x schedules.
+(** Crash-injection adversary: the failure patterns a search quantifies
+    over, and the report of a search over patterns x schedules.
 
-    Enumerates every failure pattern with at most [max_crashes] crashed
-    processes, each crash falling on the time grid
-    [0, stride, 2*stride, ... <= horizon] (fewest crashes first, starting
-    with the failure-free pattern — crashes can mask process-specific bugs,
-    and a counterexample should use as few failures as the bug needs), and
-    runs an inner schedule explorer under each pattern.  The resulting
+    Patterns have at most [max_crashes] crashed processes, each crash
+    falling on the time grid [0, stride, 2*stride, ... <= horizon]
+    (fewest crashes first, starting with the failure-free pattern —
+    crashes can mask process-specific bugs, and a counterexample should
+    use as few failures as the bug needs).  {!Parallel.search} runs an
+    inner schedule explorer under each pattern.  The resulting
     counterexample carries its failure pattern inside the schedule, so
     replaying it reproduces both the crashes and the ordering. *)
-
-type inner = Harness.explorer
 
 type report = {
   counterexample : Harness.counterexample option;
@@ -18,7 +17,8 @@ type report = {
   steps : int;
   complete : bool;
       (** true iff every pattern's schedule space was exhausted — only
-          possible with the [`Exhaustive] inner explorer within budget *)
+          possible with the [`Exhaustive] and [`Dpor] inner explorers
+          within budget *)
 }
 
 (** The enumerated failure patterns (exposed for tests and the CLI). *)
@@ -28,17 +28,3 @@ val patterns :
   horizon:int ->
   stride:int ->
   Sim.Failure_pattern.t list
-
-val search :
-  ?max_crashes:int ->
-  ?horizon:int ->
-  ?stride:int ->
-  ?inner:inner ->
-  ?budget:int ->
-  ?inner_budget:int ->
-  ?d:int ->
-  ?shrink:bool ->
-  ?seed:int ->
-  ('st, 'msg, 'fd, 'inp, 'out) Harness.target ->
-  n:int ->
-  report

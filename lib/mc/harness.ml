@@ -41,7 +41,6 @@ type opts = {
   d : int option;
   shrink : bool;
   seed : int;
-  ordered : bool;
 }
 
 let default_opts =
@@ -56,16 +55,11 @@ let default_opts =
     d = None;
     shrink = true;
     seed = 1;
-    ordered = true;
   }
 
 let validate_opts o =
   if o.domains < 1 then
     Error (Printf.sprintf "domains must be >= 1 (got %d)" o.domains)
-  else if (not o.ordered) && o.explorer = `Dpor then
-    Error
-      "unordered mode does not apply to the dpor explorer (its backtrack \
-       sets are computed along one sequential exploration)"
   else
     match (o.d, o.explorer) with
     | Some _, (`Exhaustive | `Random | `Dpor) ->

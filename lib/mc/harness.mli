@@ -45,8 +45,8 @@ type run_report = {
 }
 
 (** The inner schedule explorer every search front-end chooses between.
-    Defined once here; {!Crash_adversary}, {!Parallel} and [Core.Runner]
-    all re-export this type rather than declaring their own copy.
+    Defined once here; [Core.Runner] re-exports it rather than declaring
+    its own copy.
     [`Dpor] is [`Exhaustive] with dynamic partial-order reduction
     ({!Dpor}): identical verdicts, strictly fewer schedules. *)
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
@@ -60,10 +60,10 @@ val explorer_name : explorer -> string
 type opts = {
   explorer : explorer;
   domains : int;
-      (** total parallelism (worker domains including the coordinating
-          one); 1 = fully sequential, no domains spawned.  A cap: the
-          pool never exceeds [Domain.recommended_domain_count ()] — see
-          {!Parallel} on why oversubscription anti-scales. *)
+      (** size of the domain pool, the calling domain included; 1 =
+          fully sequential, no domains spawned.  A cap: the pool never
+          exceeds [Domain.recommended_domain_count ()].  The report is
+          the same at every value (see {!Parallel}). *)
   budget : int;  (** total schedule budget across all failure patterns *)
   inner_budget : int;  (** per-failure-pattern schedule cap *)
   max_crashes : int;  (** crash-adversary bound on faulty processes *)
@@ -75,19 +75,10 @@ type opts = {
           silently dropped. *)
   shrink : bool;
   seed : int;  (** root seed; all per-run RNG streams derive from it *)
-  ordered : bool;
-      (** [true] (default): the report is bit-identical at every domain
-          count — {!Parallel}'s speculation/adjudication split.  [false]:
-          pure bug-hunting; workers race over a shared frontier with a
-          racy visited filter, the verdict of a complete drain is still
-          deterministic but schedule/step totals and {e which}
-          counterexample is reported may vary with timing.  Rejected for
-          [`Dpor] by {!validate_opts}. *)
 }
 
 (** [`Exhaustive] explorer, 1 domain, budget 20_000, inner budget 2_000,
-    max_crashes 1, horizon 4, stride 2, no d, shrink on, seed 1,
-    ordered. *)
+    max_crashes 1, horizon 4, stride 2, no d, shrink on, seed 1. *)
 val default_opts : opts
 
 (** Reject inconsistent option combinations: [domains < 1], or a PCT depth
@@ -101,9 +92,10 @@ val validate_opts : opts -> (unit, string) result
 
     [?sink] installs an observability sink on the underlying engine run and
     additionally brackets invariant evaluation in an [Invariant_check]
-    phase span.  Exploration never passes one (the parallel explorer's
-    speculative runs would race on it); tracing a counterexample means
-    replaying it with a sink — see [Core.Runner.model_check]'s [~trace]. *)
+    phase span.  Exploration never passes one (runs on a domain pool
+    would race on it, and runs past an exact cut would be recorded);
+    tracing a counterexample means replaying it with a sink — see
+    [Core.Runner.model_check]'s [~trace]. *)
 val run :
   ?seed:int ->
   ?round_hook:(now:int -> digest:int Lazy.t -> steps:int -> bool) ->

@@ -5,7 +5,7 @@
    that actually ships: it drives real [Net.Node] values — the same main
    loop production transports run — over [Net.Det], the deterministic
    in-memory hub whose every delivery decision is a [Sim.Scheduler]
-   choice point.  The same DFS + visited-digest loop as [Exhaustive]
+   choice point.  The same frontier + visited-digest loop as [Exhaustive]
    ([Exhaustive.dfs]) then enumerates delivery interleavings (and, with
    [reorder], reorderings and duplications around faults) of the real
    wire path: codec, envelopes, [Net.Rel] ARQ, node step loop.
@@ -231,9 +231,9 @@ let violates target schedule = (replay target schedule).violation <> None
 
 (* Scripts index by round, so states only merge at equal rounds: the
    pruning key pairs the digest with the round counter. *)
-let search ?(budget = 10_000) ?(prune = true) ?(shrink = true)
+let search ?pool ?(budget = 10_000) ?(prune = true) ?(shrink = true)
     ?(shrink_budget = 400) ?(seed = 1) target =
-  Exhaustive.dfs ~budget ~prune
+  Exhaustive.dfs ?pool ~budget ~prune
     ~key:(fun ~clock digest -> Hashtbl.hash (digest, clock))
     ~counterexample:(fun ~reason choices ->
       Harness.counterexample ~shrink ~shrink_budget ~violates:(violates target)
@@ -242,8 +242,8 @@ let search ?(budget = 10_000) ?(prune = true) ?(shrink = true)
     (fun sched ~hook ->
       let r =
         run
-          ~round_hook:(fun ~round ~digest ~steps:_ ->
-            hook ~clock:round ~digest)
+          ~round_hook:(fun ~round ~digest ~steps ->
+            hook ~clock:round ~digest ~steps)
           target sched
       in
       (r.choices, r.steps, r.violation))

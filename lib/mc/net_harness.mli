@@ -1,6 +1,6 @@
 (** Model-checking the production network stack: real {!Net.Node} main
     loops (codec, envelopes, optional {!Net.Rel} ARQ) over the
-    deterministic {!Net.Det} hub, explored by the same DFS +
+    deterministic {!Net.Det} hub, explored by the same frontier +
     visited-digest loop as {!Exhaustive} ({!Exhaustive.dfs}).
 
     A run proceeds in rounds that mirror the engine's atomic-step
@@ -108,9 +108,12 @@ val violates : ('st, 'msg, 'inp, 'out) target -> Schedule.t -> bool
     visited-digest pruning (keyed on [(digest, round)] — fault/input
     scripts are round-indexed, so states only merge at equal rounds),
     schedule [budget], and counterexample shrinking via
-    {!Shrink.minimize} over the choice sequence.  Returns the same
-    report shape as {!Exhaustive.search}. *)
+    {!Shrink.minimize} over the choice sequence.  Runs execute on
+    [pool] (default: the calling domain alone); the report does not
+    depend on its size.  Returns the same report shape as
+    {!Exhaustive.search}. *)
 val search :
+  ?pool:Exhaustive.pool ->
   ?budget:int ->
   ?prune:bool ->
   ?shrink:bool ->

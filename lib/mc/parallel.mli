@@ -1,80 +1,31 @@
-(** Parallel schedule exploration on OCaml 5 domains.
+(** The crash-adversary search, on a pool of OCaml 5 domains.
 
-    [search] shards the crash-pattern × schedule frontier of a
-    {!Crash_adversary}-style search across a pool of [Domain]s.  It has
-    two modes, selected by [opts.ordered]:
+    [search] runs an inner explorer under each failure pattern, patterns
+    fewest-crashes-first, with [opts.budget] schedules in total and at
+    most [opts.inner_budget] per pattern, stopping at the first
+    counterexample:
 
-    {2 Ordered mode (default): bit-identical reports}
+    - [`Exhaustive]: {!Exhaustive.search} on the pool.  Its FIFO frontier
+      is drained in chunks run in parallel and adjudicated in queue order
+      against the exact seen-set (see {!Exhaustive}).
+    - [`Pct] / [`Random]: chunks of run indices on the pool; run [i] of
+      pattern [p] draws its stream from [(opts.seed, p, i)], whichever
+      domain executes it, and runs are accounted in index order.
+    - [`Dpor]: {!Dpor.search} on the calling domain (its backtrack sets
+      are computed along one sequential exploration).
 
     The report — counterexample, pattern/schedule/step counts,
-    completeness — is {e bit-identical for every domain count},
-    including 1.  The explorer splits every run into two halves:
+    completeness — is the same for every [opts.domains], including 1.
+    [opts.domains] is a cap: the pool never exceeds
+    [Domain.recommended_domain_count ()], and one domain spawns
+    nothing. *)
 
-    - {b Speculation} (parallel, racy): workers claim {e subtree jobs} —
-      a frontier prefix plus a quota — and run a local depth-first
-      expansion of that subtree, streaming each run's trajectory (choice
-      indices, arities, per-round [(digest, consumed, steps)] hook
-      triples, the cut position justified by the worker's local seen-set
-      or the shared filter) back to the coordinator.  A trajectory is a
-      pure function of [(target, failure pattern, prefix, seed)], so it
-      does not matter when, where, or how often it is executed.  Coarse
-      subtree work units amortize queue traffic: the old one-job-per-
-      prefix design spent its speedup on lock round trips.
-    - {b Adjudication} (sequential, canonical): the coordinator consumes
-      trajectories in the fixed frontier order — failure patterns
-      fewest-crashes-first, FIFO prefix order within a pattern — and
-      replays every pruning decision against its private exact seen-set.
-      A speculative cut the exact set cannot justify (filter collision,
-      stale local view) triggers a deterministic filter-free
-      re-execution.  Every counter in the report derives from
-      adjudicated trajectories, never from wall-clock racing.
-
-    Workers consult a shared striped visited-digest filter (single
-    writer: the coordinator) so speculation cuts where the adjudicator
-    already pruned; a hit can only save work, never change the outcome.
-
-    Aborted speculative runs — cancelled mid-flight when a
-    counterexample lands, or cut by a racy filter hit that adjudication
-    later re-executes — are {e excluded} from the step totals: the
-    report counts the work of the canonical search, so [steps] is a
-    search metric, not a wall-clock artifact.
-
-    {2 Unordered mode ([ordered = false]): bug-hunting}
-
-    Workers race over one shared frontier with a racy multi-writer
-    filter ({!Filter.add_racy}-style plain stores: a lost insert only
-    means a state may be explored twice, a hit is always genuine).
-    There is no adjudication: the first violation found wins (a mutex
-    arbitrates), cancellation is immediate, and per-pattern budgets are
-    fixed by a deterministic static allocation so that a {e clean
-    complete drain} — no violation, budget not exhausted — still
-    reports deterministic schedule counts at any domain count.  Which
-    counterexample is reported, and the partial counters of an
-    interrupted search, may vary with timing.  Use it to find bugs
-    faster; use ordered mode to report them.  Rejected for [`Dpor]
-    (sleep-set state is inherently sequential) by
-    {!Harness.validate_opts}.
-
-    {2 Scaling}
-
-    [opts.domains] is a cap, not a demand: the pool never exceeds
-    [Domain.recommended_domain_count ()], and 1 domain runs the
-    sequential inline path.  [`Dpor] adjudicates sequentially per
-    pattern (the reduction is a frontier-order-dependent algorithm);
-    [`Pct]/[`Random] parallelize by run index — run [i] of pattern [p]
-    draws its RNG stream from [(root seed, p, i)] regardless of which
-    domain executes it.
-
-    The report is {!Crash_adversary.report}: the searches agree on
-    semantics, budget accounting ([budget] total across patterns,
-    [inner_budget] per pattern, fewest-crashes-first) and reporting. *)
-
-(** [search ~opts target ~n] explores failure patterns × schedules with
-    [opts.domains]-way parallelism.  [?fps] overrides the enumerated
-    failure patterns (e.g. a single scenario pattern); by default they
-    are {!Crash_adversary.patterns} from [opts].  [opts.d] falls back to
-    3 when [None]; callers wanting rejection of meaningless combinations
-    should run {!Harness.validate_opts} first. *)
+(** [search ~opts target ~n] explores failure patterns × schedules.
+    [?fps] overrides the enumerated failure patterns (e.g. a single
+    scenario pattern); by default they are {!Crash_adversary.patterns}
+    from [opts].  [opts.d] falls back to 3 when [None]; callers wanting
+    rejection of meaningless combinations should run
+    {!Harness.validate_opts} first. *)
 val search :
   opts:Harness.opts ->
   ?fps:Sim.Failure_pattern.t list ->

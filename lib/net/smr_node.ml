@@ -205,7 +205,6 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
       with Wire.Frame_too_large _ | Wire.Decode_error _ -> false)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
     | exception Unix.Unix_error (_, _, _) -> false
-    | exception _ -> false
   in
   let handle_outputs () =
     List.iter

@@ -317,7 +317,8 @@ let parse_hello b =
   match (decode b : string * int) with
   | m, pid when m = magic -> Ok pid
   | m, _ -> Error (Printf.sprintf "net: bad hello magic %S" m)
-  | exception _ -> Error "net: undecodable hello frame"
+  | exception (Failure _ | Invalid_argument _) ->
+    Error "net: undecodable hello frame"
 
 let ack_magic = "weakest-fd-net-ack/1"
 let hello_ack ~self = encode (ack_magic, (self : int))
@@ -326,4 +327,5 @@ let parse_hello_ack b =
   match (decode b : string * int) with
   | m, pid when m = ack_magic -> Ok pid
   | m, _ -> Error (Printf.sprintf "net: bad hello-ack magic %S" m)
-  | exception _ -> Error "net: undecodable hello-ack frame"
+  | exception (Failure _ | Invalid_argument _) ->
+    Error "net: undecodable hello-ack frame"

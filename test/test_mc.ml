@@ -5,6 +5,15 @@
 
 let ff n = Sim.Failure_pattern.failure_free n
 
+(* The crash adversary on its default grid: at most one crash, at times
+   0, 2 and 4. *)
+let adversary ?(explorer = `Exhaustive) ?(budget = 20_000)
+    ?(inner_budget = 2_000) ?(horizon = 4) t ~n =
+  Mc.Parallel.search
+    ~opts:
+      { Mc.Harness.default_opts with explorer; budget; inner_budget; horizon }
+    t ~n
+
 (* ---- schedules round-trip ----------------------------------------- *)
 
 let test_schedule_roundtrip () =
@@ -42,10 +51,7 @@ let test_exhaustive_quorum_paxos () =
 
 let test_exhaustive_quorum_paxos_with_crash () =
   let t = Mc.Targets.quorum_paxos ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = adversary ~budget:50_000 t ~n:2 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -91,10 +97,7 @@ let test_pct_catches_broken_validity () =
 
 let test_crash_adversary_finds_2pc_blocking () =
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = adversary ~budget:50_000 t ~n:2 in
   match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "2PC blocking not found by the crash adversary"
   | Some c ->
@@ -116,10 +119,7 @@ let test_qc_psi_survives_crash_adversary () =
   (* the same adversary that breaks 2PC: QC from Psi must stay clean —
      with a failure it may Quit, without one it must decide a proposal *)
   let t = Mc.Targets.qc_psi ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Random ~budget:600 ~inner_budget:100 t ~n:2
-  in
+  let r = adversary ~explorer:`Random ~budget:600 ~inner_budget:100 t ~n:2 in
   (match r.Mc.Crash_adversary.counterexample with
   | None -> ()
   | Some c ->
@@ -182,10 +182,7 @@ let test_shrunk_counterexample_quality () =
    | None -> Alcotest.fail "broken validity not found"
    | Some c -> check_shrink_quality "broken-validity" t ~n:2 c);
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = adversary ~budget:50_000 t ~n:2 in
   match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "2pc blocking not found"
   | Some c -> check_shrink_quality "2pc-blocking" t ~n:2 c
@@ -315,6 +312,20 @@ let test_parallel_matches_sequential_clean_exhausted () =
   Alcotest.(check bool) "space exhausted" true
     (contains s "exhausted")
 
+let test_parallel_budget_bounded () =
+  (* the budget runs out inside the second pattern, so the same prefixes
+     — not just as many — must be run at every domain count; the counts
+     are the one-domain search's *)
+  let o = { opts with Core.Runner.budget = 3_000 } in
+  ignore (check_domain_independent "regs.abd" ~n:3 o);
+  match Core.Runner.model_check ~opts:o "regs.abd" ~n:3 with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    Alcotest.(check int) "patterns" 2 s.Core.Runner.patterns;
+    Alcotest.(check int) "schedules" 3_000 s.Core.Runner.schedules;
+    Alcotest.(check int) "steps" 136_440 s.Core.Runner.mc_steps;
+    Alcotest.(check bool) "budget-bounded" false s.Core.Runner.exhausted
+
 let test_parallel_sampled_explorers () =
   ignore
     (check_domain_independent "cons.broken_validity" ~n:3
@@ -324,9 +335,9 @@ let test_parallel_sampled_explorers () =
        { opts with Core.Runner.explorer = `Random; budget = 400 })
 
 let test_parallel_cancellation_stress () =
-  (* first-counterexample cancellation must never lose a violation that a
-     single-domain search reports: sweep seeds so cancellation lands at
-     different points relative to in-flight speculative work *)
+  (* stopping at the first counterexample must never lose a violation that
+     a single-domain search reports: sweep seeds so the violation lands at
+     different points of a chunk *)
   List.iter
     (fun seed ->
       let o =
@@ -415,10 +426,7 @@ let test_dpor_broken_validity_same_cex () =
 
 let test_dpor_2pc_adversary_parity () =
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let search inner =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2 ~inner
-      ~budget:50_000 t ~n:2
-  in
+  let search explorer = adversary ~explorer ~budget:50_000 t ~n:2 in
   let ex = search `Exhaustive and dp = search `Dpor in
   match
     (ex.Mc.Crash_adversary.counterexample, dp.Mc.Crash_adversary.counterexample)
@@ -480,24 +488,21 @@ let prop_dpor_verdict_parity =
           && dp.Mc.Exhaustive.schedules <= ex.Mc.Exhaustive.schedules
         else true)
 
-(* ---- unordered (bug-hunting) mode ----------------------------------- *)
+(* ---- the former bug-hunting mode's contracts ------------------------ *)
+
+(* These two tests were written for a racing "unordered" search that no
+   longer exists; the properties they check hold of the one search. *)
 
 let test_unordered_sampled_accounting () =
-  (* Step/schedule accounting must count the canonical search, not racing
-     artifacts: a clean sampled drain reports exactly its budget at every
-     domain count. *)
+  (* Step/schedule accounting counts the search, not racing artifacts: a
+     clean sampled drain reports exactly its budget at every domain
+     count. *)
   List.iter
     (fun domains ->
       match
         Core.Runner.model_check
           ~opts:
-            {
-              opts with
-              Core.Runner.explorer = `Random;
-              budget = 300;
-              ordered = false;
-              domains;
-            }
+            { opts with Core.Runner.explorer = `Random; budget = 300; domains }
           "cons.quorum_paxos" ~n:2
       with
       | Error e -> Alcotest.fail e
@@ -508,36 +513,24 @@ let test_unordered_sampled_accounting () =
     [ 1; 4 ]
 
 let test_unordered_exhaustive_verdicts () =
-  (* which counterexample unordered mode reports may vary with timing;
-     whether one exists, and whether a clean space drains, may not *)
+  (* whether a counterexample exists, and whether a clean space drains,
+     does not depend on the domain count *)
   (match
      Core.Runner.model_check
-       ~opts:
-         {
-           opts with
-           Core.Runner.budget = 10_000;
-           ordered = false;
-           domains = 4;
-         }
+       ~opts:{ opts with Core.Runner.budget = 10_000; domains = 4 }
        "cons.broken_validity" ~n:2
    with
   | Error e -> Alcotest.fail e
   | Ok s -> (
     match s.Core.Runner.counterexample with
-    | None -> Alcotest.fail "unordered search missed the planted bug"
+    | None -> Alcotest.fail "4-domain search missed the planted bug"
     | Some c ->
-      Alcotest.(check bool) "unordered counterexample replays" true
+      Alcotest.(check bool) "counterexample replays" true
         (Mc.Harness.violates (Mc.Targets.broken_validity ~n:2) ~n:2
            c.Mc.Harness.schedule)));
   match
     Core.Runner.model_check
-      ~opts:
-        {
-          opts with
-          Core.Runner.budget = 50_000;
-          ordered = false;
-          domains = 4;
-        }
+      ~opts:{ opts with Core.Runner.budget = 50_000; domains = 4 }
       "cons.quorum_paxos" ~n:2
   with
   | Error e -> Alcotest.fail e
@@ -546,15 +539,6 @@ let test_unordered_exhaustive_verdicts () =
       s.Core.Runner.exhausted;
     Alcotest.(check bool) "no violation" true
       (s.Core.Runner.counterexample = None)
-
-let test_unordered_dpor_rejected () =
-  match
-    Core.Runner.model_check
-      ~opts:{ opts with Core.Runner.explorer = `Dpor; ordered = false }
-      "cons.quorum_paxos" ~n:2
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unordered dpor accepted"
 
 (* ---- the production net stack, model-checked ------------------------ *)
 
@@ -640,10 +624,7 @@ let test_ec_store_crash_adversary () =
      keep backed-off digesting the corpse), so this also exercises the
      step-bound liveness deadline *)
   let t = Mc.Targets.ec_store ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:20_000 t ~n:2
-  in
+  let r = adversary t ~n:2 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -659,10 +640,7 @@ let test_fd_ring_exhausted () =
      time grid), every correct process must settle on the smallest
      correct id within the step budget *)
   let t = Mc.Targets.fd_ring ~n:3 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:200_000 ~inner_budget:100_000 t ~n:3
-  in
+  let r = adversary ~budget:200_000 ~inner_budget:100_000 t ~n:3 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -676,8 +654,8 @@ let test_fd_ring_dpor_parity () =
      set — the ring's point-to-point heartbeats commute aggressively *)
   let t = Mc.Targets.fd_ring ~n:3 in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Dpor ~budget:200_000 ~inner_budget:100_000 t ~n:3
+    adversary ~explorer:`Dpor ~budget:200_000 ~inner_budget:100_000 t
+      ~n:3
   in
   Alcotest.(check bool) "exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool) "clean" true
@@ -716,10 +694,7 @@ let test_smr_crash_adversary_n2 () =
      Propose was accepted: the survivor's own batch then loses its
      instance to the inherited one and must be re-queued *)
   let t = Mc.Targets.smr ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:24 ~stride:2
-      ~inner:`Exhaustive ~budget:100_000 ~inner_budget:50_000 t ~n:2
-  in
+  let r = adversary ~budget:100_000 ~inner_budget:50_000 ~horizon:24 t ~n:2 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -731,8 +706,7 @@ let test_smr_crash_adversary_n2 () =
 let test_smr_dpor_n3 () =
   let t = Mc.Targets.smr ~n:3 in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Dpor ~budget:100_000 ~inner_budget:50_000 t ~n:3
+    adversary ~explorer:`Dpor ~budget:100_000 ~inner_budget:50_000 t ~n:3
   in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
@@ -824,6 +798,19 @@ let test_pinned_sim_counts () =
 
 let test_pinned_net_counts () =
   let r = Mc.Net_harness.search ~budget:20_000 (Mc.Net_targets.abd_rel ~n:2) in
+  Alcotest.(check bool) "exhausted" true r.Mc.Exhaustive.complete;
+  Alcotest.(check bool) "clean" true (r.Mc.Exhaustive.counterexample = None);
+  Alcotest.(check int) "schedules" 6593 r.Mc.Exhaustive.schedules;
+  Alcotest.(check int) "steps" 165802 r.Mc.Exhaustive.steps
+
+(* The same search with its chunks run on two domains: the report is the
+   one-domain report. *)
+let test_pinned_net_counts_two_domains () =
+  let r =
+    Mc.Exhaustive.with_pool ~domains:2 (fun pool ->
+        Mc.Net_harness.search ~pool ~budget:20_000
+          (Mc.Net_targets.abd_rel ~n:2))
+  in
   Alcotest.(check bool) "exhausted" true r.Mc.Exhaustive.complete;
   Alcotest.(check bool) "clean" true (r.Mc.Exhaustive.counterexample = None);
   Alcotest.(check int) "schedules" 6593 r.Mc.Exhaustive.schedules;
@@ -946,6 +933,8 @@ let () =
             test_parallel_matches_sequential_broken_validity;
           Alcotest.test_case "clean exhaustion domain-independent" `Quick
             test_parallel_matches_sequential_clean_exhausted;
+          Alcotest.test_case "budget-bounded abd n=3 domain-independent"
+            `Quick test_parallel_budget_bounded;
           Alcotest.test_case "pct/random domain-independent" `Quick
             test_parallel_sampled_explorers;
           Alcotest.test_case "cancellation loses no violation" `Quick
@@ -972,7 +961,6 @@ let () =
             test_unordered_sampled_accounting;
           Alcotest.test_case "exhaustive verdict parity" `Quick
             test_unordered_exhaustive_verdicts;
-          Alcotest.test_case "dpor rejected" `Quick test_unordered_dpor_rejected;
         ] );
       ( "net-harness",
         [
@@ -1019,6 +1007,8 @@ let () =
             test_pinned_sim_counts;
           Alcotest.test_case "abd over node+rel: pinned counts" `Quick
             test_pinned_net_counts;
+          Alcotest.test_case "abd over node+rel on 2 domains: pinned counts"
+            `Quick test_pinned_net_counts_two_domains;
           Alcotest.test_case "unmarshallable state: fallback digest" `Quick
             test_digest_fallback_unmarshallable_state;
         ] );

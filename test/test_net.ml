@@ -266,8 +266,16 @@ let test_hello () =
   (match Net.Wire.parse_hello (Net.Wire.hello ~self:3) with
   | Ok p -> Alcotest.(check int) "hello names the sender" 3 p
   | Error e -> Alcotest.fail e);
-  match Net.Wire.parse_hello (Bytes.of_string "garbage") with
+  (match Net.Wire.parse_hello (Bytes.of_string "garbage") with
   | Ok _ -> Alcotest.fail "garbage accepted as hello"
+  | Error _ -> ());
+  (* a frame cut short is refused, not raised *)
+  let truncated b = Bytes.sub b 0 (Bytes.length b - 3) in
+  (match Net.Wire.parse_hello (truncated (Net.Wire.hello ~self:3)) with
+  | Ok _ -> Alcotest.fail "truncated hello accepted"
+  | Error _ -> ());
+  match Net.Wire.parse_hello_ack (truncated (Net.Wire.hello_ack ~self:3)) with
+  | Ok _ -> Alcotest.fail "truncated hello-ack accepted"
   | Error _ -> ()
 
 (* The max-frame guard: an adversarial length prefix must raise the
